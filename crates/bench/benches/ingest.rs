@@ -93,13 +93,10 @@ fn bench_ingest(c: &mut Criterion) {
                 .unwrap();
             let incr = incr.finalize(&live).unwrap();
             let full = phys.execute(&live).unwrap();
-            for s in 0..full.num_result_sets() {
-                assert_eq!(
-                    full.result_set(s).unwrap(),
-                    incr.result_set(s).unwrap(),
-                    "incremental refresh must equal full recompute"
-                );
-            }
+            assert_eq!(
+                full.results, incr.results,
+                "incremental refresh must equal full recompute"
+            );
         }
 
         group.bench_function(format!("refresh_incr_{label}"), |b| {

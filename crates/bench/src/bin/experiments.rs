@@ -1,6 +1,6 @@
 //! The SeeDB experiment harness: regenerates every table/figure/claim of
-//! the paper as terminal tables (see DESIGN.md's experiment index and
-//! EXPERIMENTS.md for paper-vs-measured commentary).
+//! the paper as terminal tables; each section's header quotes the paper
+//! claim it reproduces.
 //!
 //! ```sh
 //! cargo run --release -p seedb-bench --bin experiments          # all

@@ -1,9 +1,8 @@
 //! Shared helpers for the SeeDB benchmark harness.
 //!
 //! Each Criterion bench and the `experiments` binary regenerate one
-//! artifact of the paper (see DESIGN.md's experiment index). The helpers
-//! here build the standard workloads so every experiment measures the
-//! same data.
+//! artifact of the paper. The helpers here build the standard workloads
+//! so every experiment measures the same data.
 
 use std::sync::Arc;
 

@@ -117,7 +117,7 @@ impl RunningTotals {
 fn service_config(spec: &SoakSpec, dump_dir: Option<&Path>) -> ServiceConfig {
     let mut seedb = SeeDbConfig::recommended()
         .with_k(3)
-        .with_execution(ExecutionStrategy::Parallel { workers: 2 });
+        .with_execution(ExecutionStrategy::parallel(2));
     seedb.pruning.access_frequency = false;
     let mut cfg = ServiceConfig::recommended().with_seedb(seedb);
     cfg.cache_capacity = spec.cache_capacity;

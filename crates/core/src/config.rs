@@ -13,133 +13,92 @@ use crate::view::FunctionSet;
 /// early-termination axis of §3.3, selectable per engine (and from the
 /// demo CLI via `:strategy` / `:workers`).
 ///
-/// The two phased strategies trade the batch executor for
+/// `workers` is the thread count: the batch executor fans independent
+/// plans out across that many threads ([`memdb::run_batch`]), phased
+/// execution splits every phase slice across that many row partitions
+/// whose partial aggregate states merge deterministically — outcomes
+/// are byte-identical for every worker count.
+///
+/// With `phased` set, the batch executor is traded for
 /// [`crate::phased::run_phased`]: the table is processed in `phases`
 /// contiguous slices and views whose utility confidence interval falls
 /// below the running top-k are discarded early (survivors still end
-/// with exact full-table utilities). `PhasedParallel` additionally
-/// splits every phase slice across `workers` row partitions whose
-/// partial aggregate states merge deterministically — outcomes are
-/// byte-identical for every worker count. Phased strategies execute
-/// against the table directly, so [`crate::engine::Recommendation::cost`]
-/// reflects only catalog-mediated work (zero for a pure phased run).
-///
-/// Phased strategies are *exact by construction* (survivors end with
-/// full-table utilities); they do not compose with scan sampling, so a
-/// configured `optimizer.sample` is ignored while a phased strategy is
-/// selected (the demo CLI prints a notice when both are set).
+/// with exact full-table utilities). Phased execution runs against the
+/// table directly, so [`crate::engine::Recommendation::cost`] reflects
+/// only catalog-mediated work (zero for a pure phased run). It is
+/// *exact by construction* and does not compose with scan sampling, so
+/// a configured `optimizer.sample` is ignored while `phased` is set
+/// (the demo CLI prints a notice when both are).
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExecutionStrategy {
-    /// One query at a time (the paper's baseline).
-    Sequential,
-    /// Independent plans fan out across a `workers`-thread pool
-    /// ([`memdb::run_batch`]).
-    Parallel {
-        /// Worker threads pulling plans from the shared queue.
-        workers: usize,
-    },
-    /// Phase-sliced execution with confidence-interval pruning,
-    /// single-threaded.
-    Phased {
-        /// Number of table slices.
-        phases: usize,
-        /// Confidence parameter δ of the pruning bound.
-        delta: f64,
-        /// Never prune before this many phases.
-        min_phases: usize,
-    },
-    /// Phased execution whose phase slices additionally fan out across
-    /// row-partition workers with mergeable partial aggregates.
-    PhasedParallel {
-        /// Number of table slices.
-        phases: usize,
-        /// Confidence parameter δ of the pruning bound.
-        delta: f64,
-        /// Never prune before this many phases.
-        min_phases: usize,
-        /// Row-partition workers per phase slice.
-        workers: usize,
-    },
+pub struct ExecutionStrategy {
+    /// Worker threads (values below 1 behave as 1; see
+    /// [`ExecutionStrategy::workers`]).
+    pub workers: usize,
+    /// Phase-sliced execution with confidence-interval pruning; `None`
+    /// is the batch executor.
+    pub phased: Option<PhasedParams>,
+}
+
+/// Parameters of phased execution's slicing and pruning bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhasedParams {
+    /// Number of table slices.
+    pub phases: usize,
+    /// Confidence parameter δ of the pruning bound.
+    pub delta: f64,
+    /// Never prune before this many phases.
+    pub min_phases: usize,
 }
 
 impl ExecutionStrategy {
-    /// Phased defaults (10 slices, δ = 0.05, 2 warm-up phases).
-    pub fn phased() -> Self {
-        ExecutionStrategy::Phased {
-            phases: 10,
-            delta: 0.05,
-            min_phases: 2,
-        }
+    /// One query at a time (the paper's baseline).
+    pub fn sequential() -> Self {
+        ExecutionStrategy::parallel(1)
     }
 
-    /// Phased-parallel defaults with `workers` row partitions.
-    pub fn phased_parallel(workers: usize) -> Self {
-        ExecutionStrategy::PhasedParallel {
-            phases: 10,
-            delta: 0.05,
-            min_phases: 2,
+    /// The batch executor on `workers` threads.
+    pub fn parallel(workers: usize) -> Self {
+        ExecutionStrategy {
             workers,
+            phased: None,
         }
     }
 
-    /// The strategy with its worker count set to `n` (promoting
-    /// `Sequential` to `Parallel` and `Phased` to `PhasedParallel`;
-    /// `n <= 1` demotes back).
+    /// Single-threaded phased execution with the default parameters
+    /// (10 slices, δ = 0.05, 2 warm-up phases).
+    pub fn phased() -> Self {
+        ExecutionStrategy::phased_parallel(1)
+    }
+
+    /// Phased execution with the default parameters and `workers` row
+    /// partitions per phase slice.
+    pub fn phased_parallel(workers: usize) -> Self {
+        ExecutionStrategy {
+            workers,
+            phased: Some(PhasedParams {
+                phases: 10,
+                delta: 0.05,
+                min_phases: 2,
+            }),
+        }
+    }
+
+    /// The strategy with its worker count set to `n`.
     pub fn with_workers(self, n: usize) -> Self {
-        match self {
-            ExecutionStrategy::Sequential | ExecutionStrategy::Parallel { .. } => {
-                if n <= 1 {
-                    ExecutionStrategy::Sequential
-                } else {
-                    ExecutionStrategy::Parallel { workers: n }
-                }
-            }
-            ExecutionStrategy::Phased {
-                phases,
-                delta,
-                min_phases,
-            }
-            | ExecutionStrategy::PhasedParallel {
-                phases,
-                delta,
-                min_phases,
-                ..
-            } => {
-                if n <= 1 {
-                    ExecutionStrategy::Phased {
-                        phases,
-                        delta,
-                        min_phases,
-                    }
-                } else {
-                    ExecutionStrategy::PhasedParallel {
-                        phases,
-                        delta,
-                        min_phases,
-                        workers: n,
-                    }
-                }
-            }
-        }
+        ExecutionStrategy { workers: n, ..self }
     }
 
-    /// Worker count this strategy uses (1 for the sequential forms).
+    /// Worker count this strategy uses (at least 1).
     pub fn workers(&self) -> usize {
-        match self {
-            ExecutionStrategy::Sequential | ExecutionStrategy::Phased { .. } => 1,
-            ExecutionStrategy::Parallel { workers }
-            | ExecutionStrategy::PhasedParallel { workers, .. } => (*workers).max(1),
-        }
+        self.workers.max(1)
     }
 
     /// Parse a CLI/demo name: `sequential`, `parallel`, `phased`,
     /// `phased-parallel`.
     pub fn parse(name: &str, default_workers: usize) -> Option<Self> {
         match name {
-            "sequential" | "seq" => Some(ExecutionStrategy::Sequential),
-            "parallel" | "par" => Some(ExecutionStrategy::Parallel {
-                workers: default_workers,
-            }),
+            "sequential" | "seq" => Some(ExecutionStrategy::sequential()),
+            "parallel" | "par" => Some(ExecutionStrategy::parallel(default_workers)),
             "phased" => Some(ExecutionStrategy::phased()),
             "phased-parallel" | "phased_parallel" => {
                 Some(ExecutionStrategy::phased_parallel(default_workers))
@@ -151,13 +110,15 @@ impl ExecutionStrategy {
 
 impl std::fmt::Display for ExecutionStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecutionStrategy::Sequential => write!(f, "sequential"),
-            ExecutionStrategy::Parallel { workers } => write!(f, "parallel ({workers} workers)"),
-            ExecutionStrategy::Phased { phases, .. } => write!(f, "phased ({phases} phases)"),
-            ExecutionStrategy::PhasedParallel {
-                phases, workers, ..
-            } => write!(f, "phased-parallel ({phases} phases × {workers} workers)"),
+        match (self.phased, self.workers()) {
+            (None, 1) => write!(f, "sequential"),
+            (None, workers) => write!(f, "parallel ({workers} workers)"),
+            (Some(p), 1) => write!(f, "phased ({} phases)", p.phases),
+            (Some(p), workers) => write!(
+                f,
+                "phased-parallel ({} phases × {workers} workers)",
+                p.phases
+            ),
         }
     }
 }
@@ -199,8 +160,8 @@ pub struct SeeDbConfig {
     /// `WHERE product = 'Laserwave'`) and would crowd out genuine
     /// insights. Default: on.
     pub exclude_filter_attributes: bool,
-    /// How planned queries are executed (sequential, batch-parallel, or
-    /// phased with confidence-interval pruning).
+    /// How planned queries are executed (worker count; batch or phased
+    /// with confidence-interval pruning).
     pub execution: ExecutionStrategy,
 }
 
@@ -217,9 +178,7 @@ impl SeeDbConfig {
             compute_correlations: true,
             low_utility_views: 0,
             exclude_filter_attributes: true,
-            execution: ExecutionStrategy::Parallel {
-                workers: default_workers(),
-            },
+            execution: ExecutionStrategy::parallel(default_workers()),
         }
     }
 
@@ -234,7 +193,7 @@ impl SeeDbConfig {
             compute_correlations: false,
             low_utility_views: 0,
             exclude_filter_attributes: true,
-            execution: ExecutionStrategy::Sequential,
+            execution: ExecutionStrategy::sequential(),
         }
     }
 
@@ -463,57 +422,32 @@ mod tests {
     }
 
     #[test]
-    fn strategy_parsing_and_worker_promotion() {
+    fn strategy_parsing_and_worker_counts() {
+        let parsed = |name| ExecutionStrategy::parse(name, 8).map(|s| s.to_string());
+        assert_eq!(parsed("sequential").as_deref(), Some("sequential"));
+        assert_eq!(parsed("parallel").as_deref(), Some("parallel (8 workers)"));
+        assert_eq!(parsed("phased").as_deref(), Some("phased (10 phases)"));
         assert_eq!(
-            ExecutionStrategy::parse("sequential", 8),
-            Some(ExecutionStrategy::Sequential)
+            parsed("phased-parallel").as_deref(),
+            Some("phased-parallel (10 phases × 8 workers)")
         );
-        assert_eq!(
-            ExecutionStrategy::parse("parallel", 8),
-            Some(ExecutionStrategy::Parallel { workers: 8 })
-        );
-        assert!(matches!(
-            ExecutionStrategy::parse("phased", 8),
-            Some(ExecutionStrategy::Phased { phases: 10, .. })
-        ));
-        assert!(matches!(
-            ExecutionStrategy::parse("phased-parallel", 8),
-            Some(ExecutionStrategy::PhasedParallel { workers: 8, .. })
-        ));
-        assert_eq!(ExecutionStrategy::parse("turbo", 8), None);
+        assert_eq!(parsed("turbo"), None);
 
-        // Worker promotion/demotion keeps the phased parameters.
+        // Changing the worker count keeps the phased parameters.
         let p = ExecutionStrategy::phased().with_workers(6);
-        assert!(matches!(
-            p,
-            ExecutionStrategy::PhasedParallel {
-                phases: 10,
-                workers: 6,
-                ..
-            }
-        ));
-        assert!(matches!(
-            p.with_workers(1),
-            ExecutionStrategy::Phased { phases: 10, .. }
-        ));
+        assert_eq!(p, ExecutionStrategy::phased_parallel(6));
+        assert_eq!(p.with_workers(1), ExecutionStrategy::phased());
         assert_eq!(
-            ExecutionStrategy::Sequential.with_workers(4),
-            ExecutionStrategy::Parallel { workers: 4 }
+            ExecutionStrategy::sequential().with_workers(4),
+            ExecutionStrategy::parallel(4)
         );
         assert_eq!(
-            ExecutionStrategy::Parallel { workers: 4 }.with_workers(1),
-            ExecutionStrategy::Sequential
+            ExecutionStrategy::parallel(4).with_workers(1),
+            ExecutionStrategy::sequential()
         );
-        assert_eq!(ExecutionStrategy::Sequential.workers(), 1);
+        assert_eq!(ExecutionStrategy::sequential().workers(), 1);
+        assert_eq!(ExecutionStrategy::parallel(0).workers(), 1);
         assert_eq!(ExecutionStrategy::phased_parallel(3).workers(), 3);
-    }
-
-    #[test]
-    fn strategies_render() {
-        assert_eq!(ExecutionStrategy::Sequential.to_string(), "sequential");
-        assert!(ExecutionStrategy::phased_parallel(4)
-            .to_string()
-            .contains("4 workers"));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use memdb::{
 };
 use seedb_obs::Span;
 
-use crate::config::{ExecutionStrategy, SeeDbConfig};
+use crate::config::SeeDbConfig;
 use crate::metadata::{AccessTracker, MetadataCollector};
 use crate::optimizer::plan;
 use crate::phased::{run_phased_with_group_counts, EarlyPrune, PhasedConfig};
@@ -234,28 +234,14 @@ impl SeeDb {
         // through the view processor; the phased strategies hand the
         // surviving views to the phase-sliced executor, which prunes
         // hopeless views mid-flight via confidence intervals.
-        let phased_params = match self.config.execution {
-            ExecutionStrategy::Phased {
-                phases,
-                delta,
-                min_phases,
-            } => Some((phases, delta, min_phases, 1)),
-            ExecutionStrategy::PhasedParallel {
-                phases,
-                delta,
-                min_phases,
-                workers,
-            } => Some((phases, delta, min_phases, workers)),
-            ExecutionStrategy::Sequential | ExecutionStrategy::Parallel { .. } => None,
-        };
-        if let Some((phases, delta, min_phases, workers)) = phased_params {
+        if let Some(params) = self.config.execution.phased {
             let phased_cfg = PhasedConfig {
-                phases,
+                phases: params.phases,
                 k: self.config.k,
-                delta,
-                min_phases,
+                delta: params.delta,
+                min_phases: params.min_phases,
                 metric: self.config.metric,
-                workers,
+                workers: self.config.execution.workers(),
             };
             // The confidence bound's per-dimension group counts come
             // from the Phase-1 metadata — no table rescan.
@@ -367,6 +353,7 @@ fn low_utility_views(all: &[ViewResult], n: usize) -> Vec<ViewResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExecutionStrategy;
     use crate::distance::Metric;
     use crate::view::FunctionSet;
     use memdb::{ColumnDef, DataType, Expr, Schema, Table, Value};
@@ -535,11 +522,7 @@ mod tests {
         let db = demo_db();
         let mut cfg = SeeDbConfig::recommended().with_k(1);
         cfg.pruning = crate::pruning::PruningConfig::disabled();
-        cfg.execution = ExecutionStrategy::Phased {
-            phases: 10,
-            delta: 0.05,
-            min_phases: 2,
-        };
+        cfg.execution = ExecutionStrategy::phased();
         let rec = SeeDb::new(db, cfg).recommend(&laserwave()).unwrap();
         // survivors + early-pruned partition the executed candidates.
         assert_eq!(

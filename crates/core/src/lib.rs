@@ -76,7 +76,9 @@ pub mod querygen;
 pub mod service;
 pub mod view;
 
-pub use config::{default_workers, ExecutionStrategy, SeeDbConfig, ServiceConfig, TelemetryConfig};
+pub use config::{
+    default_workers, ExecutionStrategy, PhasedParams, SeeDbConfig, ServiceConfig, TelemetryConfig,
+};
 pub use distance::{distance, Metric};
 pub use distribution::{AlignedPair, Distribution};
 pub use engine::{PhaseTimings, Recommendation, SeeDb};

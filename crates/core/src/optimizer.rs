@@ -156,8 +156,8 @@ pub struct RollupCols {
 pub struct Extract {
     /// Index into the candidate view list.
     pub view_index: usize,
-    /// Which result set of the query output (0 for single queries; the
-    /// grouping-set index for [`memdb::SetsQuery`] outputs).
+    /// Which result set of the query output (the plan's grouping-set
+    /// index; 0 for single-grouping plans).
     pub result_index: usize,
     /// Target or comparison side.
     pub side: Side,
@@ -415,8 +415,8 @@ fn build_query(
         source = source.filter(f);
     }
     let plan = match config.group_by_combining {
-        // Single-set grouping sets lower to the plain single-grouping
-        // operator in the plan layer, so the general shape is emitted
+        // A one-set grouping-sets node lowers to the same physical plan
+        // as an aggregate node, so the general form is emitted
         // unconditionally here.
         GroupByCombining::GroupingSets => {
             source.grouping_sets(bin.iter().map(|d| vec![d.clone()]).collect(), aggs)
@@ -524,10 +524,7 @@ mod tests {
         cfg.memory_budget_groups = u64::MAX;
         let p = plan(&views, &analyst, &md, &cfg);
         assert_eq!(p.num_queries(), 1);
-        match p.queries[0].plan.lower().unwrap() {
-            memdb::PhysicalPlan::GroupingSets { query, .. } => assert_eq!(query.sets.len(), 3),
-            memdb::PhysicalPlan::Aggregate { .. } => panic!("expected grouping-sets plan"),
-        }
+        assert_eq!(p.queries[0].plan.lower().unwrap().sets.len(), 3);
     }
 
     #[test]
@@ -539,10 +536,9 @@ mod tests {
         cfg.memory_budget_groups = 1_000_000; // 5*7*9 = 315 fits
         let p = plan(&views, &analyst, &md, &cfg);
         assert_eq!(p.num_queries(), 1);
-        match p.queries[0].plan.lower().unwrap() {
-            memdb::PhysicalPlan::Aggregate { query, .. } => assert_eq!(query.group_by.len(), 3),
-            _ => panic!("expected single-grouping plan"),
-        }
+        let phys = p.queries[0].plan.lower().unwrap();
+        assert_eq!(phys.sets.len(), 1, "one multi-column grouping");
+        assert_eq!(phys.sets[0].len(), 3);
         assert!(p.queries[0]
             .extracts
             .iter()
@@ -600,10 +596,7 @@ mod tests {
         cfg.combine_target_comparison = true;
         cfg.group_by_combining = GroupByCombining::MultiGroupBy;
         let p = plan(&views, &analyst, &md, &cfg);
-        let q = match p.queries[0].plan.lower().unwrap() {
-            memdb::PhysicalPlan::Aggregate { query, .. } => query,
-            _ => panic!(),
-        };
+        let q = p.queries[0].plan.lower().unwrap();
         let aliases: Vec<&str> = q
             .aggregates
             .iter()
@@ -624,10 +617,7 @@ mod tests {
         });
         let p = plan(&views, &analyst, &md, &cfg);
         for q in &p.queries {
-            match q.plan.lower().unwrap() {
-                memdb::PhysicalPlan::Aggregate { query, .. } => assert!(query.sample.is_some()),
-                memdb::PhysicalPlan::GroupingSets { query, .. } => assert!(query.sample.is_some()),
-            }
+            assert!(q.plan.lower().unwrap().sample.is_some());
         }
     }
 
@@ -635,14 +625,11 @@ mod tests {
     fn standalone_target_queries_use_where_clause() {
         let (_t, md, analyst, views) = setup(1, &[3]);
         let p = plan(&views, &analyst, &md, &OptimizerConfig::basic());
-        let target_queries: Vec<memdb::Query> = p
+        let target_queries: Vec<memdb::PhysicalPlan> = p
             .queries
             .iter()
             .filter(|pq| pq.extracts[0].side == Side::Target)
-            .map(|pq| match pq.plan.lower().unwrap() {
-                memdb::PhysicalPlan::Aggregate { query, .. } => query,
-                _ => panic!(),
-            })
+            .map(|pq| pq.plan.lower().unwrap())
             .collect();
         assert!(!target_queries.is_empty());
         for q in target_queries {
@@ -658,10 +645,7 @@ mod tests {
         cfg.combine_target_comparison = true;
         let p = plan(&views, &analyst, &md, &cfg);
         for pq in &p.queries {
-            let q = match pq.plan.lower().unwrap() {
-                memdb::PhysicalPlan::Aggregate { query, .. } => query,
-                _ => panic!(),
-            };
+            let q = pq.plan.lower().unwrap();
             assert!(q.filter.is_none());
             let t_agg = q
                 .aggregates

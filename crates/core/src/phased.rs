@@ -20,7 +20,8 @@
 //! distinct count from column statistics — using only the groups seen
 //! so far would under-widen early-phase intervals and prune views whose
 //! groups arrive late). This is a practical bound, not a per-metric
-//! minimax result — see DESIGN.md.
+//! minimax result: it can only delay pruning, never change a survivor's
+//! final (exact, full-table) utility.
 //!
 //! # Parallelism × early termination
 //!

@@ -273,7 +273,7 @@ impl LruCache {
     ) -> Vec<(String, u64, PhysicalPlan, CachedState)> {
         self.entries
             .iter()
-            .filter(|(_, e)| e.phys.table() == table && e.version != current_version)
+            .filter(|(_, e)| e.phys.table == table && e.version != current_version)
             .map(|(k, e)| (k.clone(), e.version, e.phys.clone(), e.state.clone()))
             .collect()
     }
@@ -939,7 +939,7 @@ impl Service {
         let warm =
             memdb::store::read_plans(&dir.join(memdb::store::WARM_PLANS_FILE)).unwrap_or_default();
         for phys in warm {
-            let Ok(table) = service.inner.engine.database().table(phys.table()) else {
+            let Ok(table) = service.inner.engine.database().table(&phys.table) else {
                 continue;
             };
             let _ = service.inner.execute_single(&table, &phys, &Span::none());
@@ -1090,35 +1090,15 @@ impl Session {
 /// The scan-source identity of a physical plan: plans may merge into one
 /// shared scan iff these match (same scan domain, same row order).
 fn source_key(phys: &PhysicalPlan) -> String {
-    let (filter, row_range) = match phys {
-        PhysicalPlan::Aggregate { query, row_range } => (&query.filter, row_range),
-        PhysicalPlan::GroupingSets { query, row_range } => (&query.filter, row_range),
-    };
     // The table name is included for clarity even though version stamps
     // are already globally unique per registration (the cache's version
     // check alone rules cross-table reuse out).
     format!(
         "{}|{:?}|{}",
-        phys.table(),
-        row_range,
-        filter.as_ref().map(Expr::to_sql).unwrap_or_default()
+        phys.table,
+        phys.row_range,
+        phys.filter.as_ref().map(Expr::to_sql).unwrap_or_default()
     )
-}
-
-/// The source parts a combined plan must reproduce.
-fn source_parts(phys: &PhysicalPlan) -> (Option<Expr>, Option<(usize, usize)>) {
-    match phys {
-        PhysicalPlan::Aggregate { query, row_range } => (query.filter.clone(), *row_range),
-        PhysicalPlan::GroupingSets { query, row_range } => (query.filter.clone(), *row_range),
-    }
-}
-
-/// Grouping set(s) and aggregates of a physical plan.
-fn shape_parts(phys: &PhysicalPlan) -> (Vec<Vec<String>>, &[AggSpec]) {
-    match phys {
-        PhysicalPlan::Aggregate { query, .. } => (vec![query.group_by.clone()], &query.aggregates),
-        PhysicalPlan::GroupingSets { query, .. } => (query.sets.clone(), &query.aggregates),
-    }
 }
 
 /// The one scan these partitions jointly performed, for cost recording.
@@ -1231,20 +1211,20 @@ impl ServiceInner {
             };
             // Sampled plans are not cacheable (per-partition samples do
             // not compose, and a cached sample would hide resampling).
-            if phys.is_sampled() {
+            if phys.sample.is_some() {
                 StatCounters::add(&self.stats.bypasses, 1);
                 let result = self.engine.database().run_physical(&phys);
                 if let Ok(o) = &result {
-                    self.record_op("bypass_scan", *o.stats());
+                    self.record_op("bypass_scan", o.stats);
                 }
                 fill(&mut out, i, result);
                 continue;
             }
-            let table = match snapshots.get(phys.table()) {
+            let table = match snapshots.get(&phys.table) {
                 Some(t) => t.clone(),
-                None => match self.engine.database().table(phys.table()) {
+                None => match self.engine.database().table(&phys.table) {
                     Ok(t) => {
-                        snapshots.insert(phys.table().to_string(), t.clone());
+                        snapshots.insert(phys.table.clone(), t.clone());
                         t
                     }
                     Err(e) => {
@@ -1263,7 +1243,7 @@ impl ServiceInner {
                     StatCounters::add(&self.stats.hits, 1);
                     self.record_op("cache_hit", cache_only_stats(CacheOutcome::Hit));
                     let mut output = (*state.output).clone();
-                    output.set_cache(CacheOutcome::Hit);
+                    output.stats.cache = CacheOutcome::Hit;
                     fill(&mut out, i, Ok(output));
                 }
                 miss_or_outdated => {
@@ -1284,7 +1264,7 @@ impl ServiceInner {
                                 &probe,
                             ) {
                                 let mut output = (*output).clone();
-                                output.set_cache(CacheOutcome::Refreshed);
+                                output.stats.cache = CacheOutcome::Refreshed;
                                 fill(&mut out, i, Ok(output));
                                 continue;
                             }
@@ -1329,7 +1309,7 @@ impl ServiceInner {
                             )
                             .map(|output| {
                                 let mut output = (*output).clone();
-                                output.set_cache(CacheOutcome::Hit);
+                                output.stats.cache = CacheOutcome::Hit;
                                 output
                             });
                         fill(&mut out, i, result);
@@ -1337,7 +1317,7 @@ impl ServiceInner {
                     }
                     StatCounters::add(&self.stats.misses, 1);
                     misses
-                        .entry((phys.table().to_string(), table.version()))
+                        .entry((phys.table.clone(), table.version()))
                         .or_insert_with(|| (table, Vec::new()))
                         .1
                         .push(Miss {
@@ -1381,7 +1361,7 @@ impl ServiceInner {
                     m.index,
                     result.map(|output| {
                         let mut output = (*output).clone();
-                        output.set_cache(CacheOutcome::Miss);
+                        output.stats.cache = CacheOutcome::Miss;
                         output
                     }),
                 );
@@ -1428,7 +1408,7 @@ impl ServiceInner {
             // group state in the combined scan).
             let weights: Vec<u64> = members
                 .iter()
-                .map(|m| shape_parts(&m.phys).0.len().max(1) as u64)
+                .map(|m| m.phys.sets.len().max(1) as u64)
                 .collect();
             let bins = crate::packing::pack(&weights, self.config.max_batch_sets.max(1) as u64);
             for bin in bins {
@@ -1471,42 +1451,35 @@ impl ServiceInner {
         let Some(first) = batch.first() else {
             return;
         };
-        let (filter, row_range) = source_parts(&first.phys);
         let mut sets: Vec<Vec<String>> = Vec::new();
         let mut aggs: Vec<AggSpec> = Vec::new();
         for member in batch {
-            let (member_sets, member_aggs) = shape_parts(&member.phys);
-            for s in member_sets {
-                if !sets.contains(&s) {
-                    sets.push(s);
+            for s in &member.phys.sets {
+                if !sets.contains(s) {
+                    sets.push(s.clone());
                 }
             }
-            for a in member_aggs {
+            for a in &member.phys.aggregates {
                 if !aggs.iter().any(|b| b.state_key() == a.state_key()) {
                     aggs.push(a.clone());
                 }
             }
         }
-        let mut source = LogicalPlan::scan(table.name());
-        if let Some(f) = filter {
-            source = source.filter(f);
-        }
-        let mut merged = source.grouping_sets(sets, aggs);
-        if let Some((lo, hi)) = row_range {
-            merged = merged.sliced(lo, hi);
-        }
+        let merged = PhysicalPlan {
+            sets,
+            aggregates: aggs,
+            ..first.phys.clone()
+        };
 
         let scan_span = span.child("batch_scan");
         scan_span.attr("plans", batch.len());
-        let combined = merged.lower().and_then(|phys| {
-            run_partitioned_partial_obs(
-                table,
-                &phys,
-                self.workers(),
-                Some(&self.exec_metrics),
-                &scan_span,
-            )
-        });
+        let combined = run_partitioned_partial_obs(
+            table,
+            &merged,
+            self.workers(),
+            Some(&self.exec_metrics),
+            &scan_span,
+        );
         drop(scan_span);
         let combined = match combined {
             Ok(c) => c,

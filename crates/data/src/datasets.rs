@@ -9,7 +9,7 @@
 //! region, category ↔ sub-category, candidate ↔ party), and a *planted,
 //! documented deviation* reachable by a suggested analyst query — so
 //! "known trends" exist to re-identify, exactly as demo Scenario 1
-//! requires. See DESIGN.md ("Substitutions") for the rationale.
+//! requires.
 
 use memdb::{ColumnDef, DataType, Schema, Semantic, Table, Value};
 use rand::rngs::StdRng;

@@ -324,9 +324,9 @@ mod tests {
             vec!["price_bin"],
             vec![crate::exec::AggSpec::count_star()],
         );
-        let out = crate::exec::execute(&binned, &q).unwrap();
-        assert_eq!(out.result.num_rows(), 5);
-        assert!(out.result.rows.iter().all(|r| r[1] == Value::Int(10)));
+        let out = q.plan().execute(&binned).unwrap();
+        assert_eq!(out.results[0].num_rows(), 5);
+        assert!(out.results[0].rows.iter().all(|r| r[1] == Value::Int(10)));
     }
 
     #[test]

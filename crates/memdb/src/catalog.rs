@@ -12,7 +12,7 @@ use seedb_obs::Obs;
 
 use crate::cost::{CostCounters, CostSnapshot};
 use crate::error::{DbError, DbResult};
-use crate::exec::{self, Query, QueryOutput, SetsOutput, SetsQuery};
+use crate::exec::Query;
 use crate::metrics::StoreMetrics;
 use crate::plan::{LogicalPlan, PhysicalPlan, PlanOutput};
 use crate::store::{self, DurabilityConfig, DurabilityState, DurabilitySummary, WalRecord};
@@ -455,26 +455,13 @@ impl Database {
         }
     }
 
-    /// Execute a single-grouping [`Query`], recording its cost.
+    /// Execute a [`Query`] (the SQL front door's single-grouping
+    /// shape), recording its cost.
     ///
     /// # Errors
     /// Unknown table/columns, type errors, invalid query shapes.
-    pub fn run(&self, q: &Query) -> DbResult<QueryOutput> {
-        let table = self.table(&q.table)?;
-        let out = exec::execute(&table, q)?;
-        self.counters.record(&out.stats);
-        Ok(out)
-    }
-
-    /// Execute a shared-scan [`SetsQuery`], recording its cost.
-    ///
-    /// # Errors
-    /// Unknown table/columns, type errors, invalid query shapes.
-    pub fn run_sets(&self, q: &SetsQuery) -> DbResult<SetsOutput> {
-        let table = self.table(&q.table)?;
-        let out = exec::execute_sets(&table, q)?;
-        self.counters.record(&out.stats);
-        Ok(out)
+    pub fn run(&self, q: &Query) -> DbResult<PlanOutput> {
+        self.run_physical(&q.plan())
     }
 
     /// Lower and execute a [`LogicalPlan`], recording its cost.
@@ -491,9 +478,9 @@ impl Database {
     /// # Errors
     /// Unknown table/columns, type errors.
     pub fn run_physical(&self, plan: &PhysicalPlan) -> DbResult<PlanOutput> {
-        let table = self.table(plan.table())?;
+        let table = self.table(&plan.table)?;
         let out = plan.execute(&table)?;
-        self.counters.record(out.stats());
+        self.counters.record(&out.stats);
         Ok(out)
     }
 
@@ -501,9 +488,8 @@ impl Database {
     ///
     /// # Errors
     /// Parse errors plus everything [`Database::run`] can return.
-    pub fn run_sql(&self, sql: &str) -> DbResult<QueryOutput> {
-        let q = crate::sql::parse_query(sql)?;
-        self.run(&q)
+    pub fn run_sql(&self, sql: &str) -> DbResult<PlanOutput> {
+        self.run(&crate::sql::parse_query(sql)?)
     }
 
     /// Record externally executed work as one query (partitioned
@@ -555,7 +541,7 @@ mod tests {
             vec![AggSpec::new(AggFunc::Sum, "amount")],
         );
         let out = db.run(&q).unwrap();
-        assert_eq!(out.result.num_rows(), 2);
+        assert_eq!(out.results[0].num_rows(), 2);
         assert_eq!(db.cost().queries, 1);
         assert_eq!(db.cost().rows_scanned, 3);
     }
@@ -657,7 +643,7 @@ mod tests {
         // Query results cover the appended row.
         let q = Query::aggregate("sales", vec![], vec![AggSpec::count_star()]);
         assert_eq!(
-            db.run(&q).unwrap().result.rows[0][0],
+            db.run(&q).unwrap().results[0].rows[0][0],
             crate::value::Value::Int(4)
         );
     }

@@ -4,9 +4,9 @@
 //! a single scan can serve many logical queries at once. Each
 //! [`AggRequest`] may carry its own row predicate (this is how a *target*
 //! view — aggregate over the filtered subset — and a *comparison* view —
-//! aggregate over everything — share one scan), and
-//! [`grouping_sets_scan`] maintains one hash table per grouping set so
-//! view queries with different group-by attributes also share the scan.
+//! aggregate over everything — share one scan), and the scan kernel
+//! maintains one accumulator per grouping set so view queries with
+//! different group-by attributes also share the scan.
 
 use std::collections::HashMap;
 
@@ -78,7 +78,7 @@ pub struct AggRequest {
 /// count/min/max are associative, merging per-partition states in any
 /// partition shape finalizes to exactly the same [`Value`]s as one
 /// sequential scan — the bit-for-bit guarantee behind
-/// [`crate::parallel::run_partitioned`].
+/// [`crate::parallel::run_partitioned_partial`].
 #[derive(Debug, Clone, Copy)]
 pub struct AggState {
     count: u64,
@@ -436,29 +436,17 @@ fn check_agg_types(table: &Table, aggs: &[AggRequest]) -> DbResult<()> {
     Ok(())
 }
 
-/// Scan `rows` of `table` once, computing every grouping set in `sets`
-/// with every aggregate in `aggs`.
-///
-/// Returns one [`Grouped`] per grouping set, in input order. `rows` is the
-/// scan domain (e.g. all rows, or a sample); per-aggregate predicates
-/// further restrict which rows feed each aggregate.
+/// Scan `rows` of `table` once, accumulating every grouping set in
+/// `sets` with every aggregate in `aggs`: one mergeable [`SetAcc`] per
+/// grouping set, in input order. `rows` is the scan domain (a row range,
+/// or a sample of it, after the scan-level filter); per-aggregate
+/// predicates further restrict which rows feed each aggregate.
+/// Partitioned execution runs this per row range, merges the
+/// accumulators, and finalizes once.
 ///
 /// # Errors
 /// Type errors for non-numeric aggregate inputs, `InvalidQuery` for empty
-/// `sets`/missing aggregate columns.
-pub fn grouping_sets_scan(
-    table: &Table,
-    rows: &[u32],
-    sets: &[Vec<usize>],
-    aggs: &[AggRequest],
-) -> DbResult<Vec<Grouped>> {
-    let accs = grouping_sets_scan_partial(table, rows, sets, aggs)?;
-    Ok(finalize_accs(accs, table, aggs))
-}
-
-/// The partial (unfinalized) form of [`grouping_sets_scan`]: one
-/// mergeable [`SetAcc`] per grouping set. Partitioned execution runs
-/// this per row range, merges the accumulators, and finalizes once.
+/// `sets`/`aggs` or missing aggregate columns.
 pub(crate) fn grouping_sets_scan_partial(
     table: &Table,
     rows: &[u32],
@@ -538,20 +526,6 @@ pub(crate) fn merge_accs(into: &mut [SetAcc], from: &[SetAcc], table: &Table) {
     }
 }
 
-/// Single-grouping-set convenience wrapper over [`grouping_sets_scan`].
-///
-/// # Errors
-/// Same as [`grouping_sets_scan`].
-pub fn aggregate_scan(
-    table: &Table,
-    rows: &[u32],
-    group_cols: &[usize],
-    aggs: &[AggRequest],
-) -> DbResult<Grouped> {
-    let mut out = grouping_sets_scan(table, rows, &[group_cols.to_vec()], aggs)?;
-    Ok(out.pop().expect("one grouping set in, one result out"))
-}
-
 /// Data type of an aggregate's output.
 pub fn agg_output_type(func: AggFunc) -> DataType {
     match func {
@@ -592,6 +566,26 @@ mod tests {
 
     fn all_rows(t: &Table) -> Vec<u32> {
         (0..t.num_rows() as u32).collect()
+    }
+
+    fn grouping_sets_scan(
+        table: &Table,
+        rows: &[u32],
+        sets: &[Vec<usize>],
+        aggs: &[AggRequest],
+    ) -> DbResult<Vec<Grouped>> {
+        let accs = grouping_sets_scan_partial(table, rows, sets, aggs)?;
+        Ok(finalize_accs(accs, table, aggs))
+    }
+
+    fn aggregate_scan(
+        table: &Table,
+        rows: &[u32],
+        group_cols: &[usize],
+        aggs: &[AggRequest],
+    ) -> DbResult<Grouped> {
+        let mut out = grouping_sets_scan(table, rows, &[group_cols.to_vec()], aggs)?;
+        Ok(out.pop().unwrap())
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Exact, order-independent `f64` summation.
 //!
-//! Partitioned execution (see [`crate::parallel::run_partitioned`])
-//! promises results **byte-identical** to a single-threaded scan, but
+//! Partitioned execution (see
+//! [`crate::parallel::run_partitioned_partial`]) promises results
+//! **byte-identical** to a single-partition scan, but
 //! float addition is not associative: folding per-partition subtotals
 //! re-associates the sum and perturbs the last bits. [`ExactSum`] makes
 //! SUM/AVG mergeable anyway by never rounding during accumulation.

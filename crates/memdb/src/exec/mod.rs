@@ -1,10 +1,13 @@
-//! Query representation and execution.
+//! Query representation and the one scan path.
 //!
-//! A [`Query`] is a single `SELECT ... FROM t [WHERE ...] [GROUP BY ...]`
-//! over one table; a [`SetsQuery`] is the shared-scan variant that
-//! evaluates several grouping sets in one pass (SeeDB's "combine multiple
-//! group-bys" rewrite). Execution returns a [`ResultSet`] plus
-//! [`ExecStats`] for cost accounting.
+//! A [`Query`] is the SQL front door's `SELECT ... FROM t [WHERE ...]
+//! [GROUP BY ...]` over one table; it lowers to a 1-set
+//! [`PhysicalPlan`]. Every plan — one grouping set or many sharing a
+//! scan (SeeDB's "combine multiple group-bys" rewrite) — executes
+//! through the crate-private `scan_partial`: filter a row range, feed
+//! the aggregation kernel, return mergeable per-set accumulators plus
+//! [`ExecStats`]. Merging and finalizing into [`ResultSet`]s live in
+//! [`crate::plan`].
 
 pub mod aggregate;
 pub mod exactsum;
@@ -16,6 +19,7 @@ pub use exactsum::ExactSum;
 
 use crate::error::{DbError, DbResult};
 use crate::expr::Expr;
+use crate::plan::PhysicalPlan;
 use crate::sample::{sample_rows, SampleSpec};
 use crate::table::Table;
 use crate::value::Value;
@@ -136,6 +140,19 @@ impl Query {
         self
     }
 
+    /// The 1-set physical plan that executes this query over the whole
+    /// table.
+    pub fn plan(&self) -> PhysicalPlan {
+        PhysicalPlan {
+            table: self.table.clone(),
+            filter: self.filter.clone(),
+            sets: vec![self.group_by.clone()],
+            aggregates: self.aggregates.clone(),
+            sample: self.sample,
+            row_range: None,
+        }
+    }
+
     /// Render as SQL text (for logs and the demo frontend).
     pub fn to_sql(&self) -> String {
         let mut select: Vec<String> = self.group_by.clone();
@@ -179,21 +196,6 @@ impl Query {
         }
         out
     }
-}
-
-/// A shared-scan query evaluating several grouping sets at once.
-#[derive(Debug, Clone)]
-pub struct SetsQuery {
-    /// Target table name.
-    pub table: String,
-    /// Scan-level filter.
-    pub filter: Option<Expr>,
-    /// The grouping sets; each produces its own [`ResultSet`].
-    pub sets: Vec<Vec<String>>,
-    /// Aggregates (computed for every set).
-    pub aggregates: Vec<AggSpec>,
-    /// Optional sampling of the scan domain.
-    pub sample: Option<SampleSpec>,
 }
 
 /// Tabular query output.
@@ -304,7 +306,7 @@ pub struct ExecStats {
     pub table_scans: u64,
     /// Total groups emitted across all grouping sets.
     pub groups_emitted: u64,
-    /// Partition tasks that contributed (1 for a single-threaded scan;
+    /// Partition tasks that contributed (1 for a single-partition scan;
     /// the worker count after a partitioned merge).
     pub partitions: u64,
     /// Time spent merging partial states, per the injected clock (0 for
@@ -335,24 +337,6 @@ impl ExecStats {
     }
 }
 
-/// Result + stats for a single-grouping query.
-#[derive(Debug, Clone)]
-pub struct QueryOutput {
-    /// The result table.
-    pub result: ResultSet,
-    /// Cost figures.
-    pub stats: ExecStats,
-}
-
-/// Results + stats for a shared-scan multi-set query.
-#[derive(Debug, Clone)]
-pub struct SetsOutput {
-    /// One result per grouping set, in input order.
-    pub results: Vec<ResultSet>,
-    /// Cost figures for the one shared scan.
-    pub stats: ExecStats,
-}
-
 pub(crate) fn resolve_aggs(table: &Table, aggs: &[AggSpec]) -> DbResult<Vec<AggRequest>> {
     aggs.iter()
         .map(|a| {
@@ -373,23 +357,21 @@ pub(crate) fn resolve_aggs(table: &Table, aggs: &[AggSpec]) -> DbResult<Vec<AggR
         .collect()
 }
 
+/// The rows of `[lo, hi)` (already clamped to the table) that the scan
+/// feeds the kernel, plus the number of rows it had to look at.
 fn scan_domain(
     table: &Table,
     filter: Option<&Expr>,
     sample: Option<&SampleSpec>,
-    row_range: Option<(usize, usize)>,
+    (lo, hi): (usize, usize),
 ) -> DbResult<(Vec<u32>, u64)> {
-    // The scan domain is (optionally) sliced to a row range, then
-    // sampled, then filtered; the cost charged is the number of rows the
-    // engine had to look at, which is the domain size before filtering
-    // (the filter is evaluated inside the same scan).
-    let (lo, hi) = match row_range {
-        None => (0, table.num_rows()),
-        Some((lo, hi)) => (lo.min(table.num_rows()), hi.min(table.num_rows())),
-    };
+    // The range is (optionally) sampled, then filtered; the cost charged
+    // is the number of rows the engine had to look at, which is the
+    // domain size before filtering (the filter is evaluated inside the
+    // same scan).
     let base: Vec<u32> = match sample {
         None => (lo as u32..hi as u32).collect(),
-        Some(s) => sample_rows(hi.saturating_sub(lo), s)
+        Some(s) => sample_rows(hi - lo, s)
             .into_iter()
             .map(|r| r + lo as u32)
             .collect(),
@@ -422,126 +404,25 @@ pub(crate) fn grouped_to_result(group_by: &[String], aggs: &[AggSpec], g: Groupe
     ResultSet { columns, rows }
 }
 
-/// Execute a [`Query`] against a table.
-///
-/// # Errors
-/// Unknown columns, type errors, or invalid query shapes.
-pub fn execute(table: &Table, q: &Query) -> DbResult<QueryOutput> {
-    execute_ranged(table, q, None)
+/// Groups across all sets of a state (its `groups_emitted`).
+pub(crate) fn total_groups(accs: &[aggregate::SetAcc]) -> u64 {
+    accs.iter().map(|a| a.num_groups() as u64).sum()
 }
 
-/// Execute a [`Query`] over an optional row slice of the table (the
-/// plan layer's scan-domain restriction; see [`crate::plan`]).
+/// Scan rows `[lo, hi)` of `table` (clamped by the caller) for `plan`
+/// *without finalizing*: one mergeable accumulator per grouping set,
+/// plus the scan's cost figures. The only scan in the engine —
+/// [`PhysicalPlan::execute_partial`] is its sole caller.
 ///
 /// # Errors
-/// Unknown columns, type errors, or invalid query shapes.
-pub fn execute_ranged(
+/// Unknown columns, type errors, or a plan with no sets/aggregates.
+pub(crate) fn scan_partial(
     table: &Table,
-    q: &Query,
-    row_range: Option<(usize, usize)>,
-) -> DbResult<QueryOutput> {
+    plan: &PhysicalPlan,
+    range: (usize, usize),
+) -> DbResult<(Vec<aggregate::SetAcc>, ExecStats)> {
     let start = Instant::now();
-    let group_cols: Vec<usize> = q
-        .group_by
-        .iter()
-        .map(|c| table.schema().index_of(c))
-        .collect::<DbResult<_>>()?;
-    let aggs = resolve_aggs(table, &q.aggregates)?;
-    if aggs.is_empty() {
-        return Err(DbError::InvalidQuery(
-            "queries must compute at least one aggregate".to_string(),
-        ));
-    }
-    let (rows, scanned) = scan_domain(table, q.filter.as_ref(), q.sample.as_ref(), row_range)?;
-    let matched = rows.len() as u64;
-    let grouped = aggregate::aggregate_scan(table, &rows, &group_cols, &aggs)?;
-    let groups = grouped.num_groups() as u64;
-    let result = grouped_to_result(&q.group_by, &q.aggregates, grouped);
-    Ok(QueryOutput {
-        result,
-        stats: ExecStats {
-            rows_scanned: scanned,
-            rows_matched: matched,
-            table_scans: 1,
-            groups_emitted: groups,
-            partitions: 1,
-            elapsed: start.elapsed(),
-            ..ExecStats::default()
-        },
-    })
-}
-
-/// Unfinalized output of a partial execution: mergeable per-set
-/// accumulators plus the scan's cost figures.
-pub(crate) struct RawPartial {
-    pub(crate) accs: Vec<aggregate::SetAcc>,
-    pub(crate) stats: ExecStats,
-}
-
-fn check_not_sampled(sample: Option<&SampleSpec>) -> DbResult<()> {
-    if sample.is_some() {
-        return Err(DbError::InvalidQuery(
-            "sampled queries cannot be executed partially: the sampled row domain \
-             depends on the scanned range, so per-partition samples do not compose"
-                .to_string(),
-        ));
-    }
-    Ok(())
-}
-
-/// Execute a [`Query`] over a row slice *without finalizing*: returns
-/// mergeable per-group aggregate state (one grouping set).
-///
-/// # Errors
-/// Unknown columns, type errors, invalid query shapes, or a sampled
-/// query (sampling does not compose across partitions).
-pub(crate) fn execute_partial_ranged(
-    table: &Table,
-    q: &Query,
-    row_range: Option<(usize, usize)>,
-) -> DbResult<RawPartial> {
-    let start = Instant::now();
-    check_not_sampled(q.sample.as_ref())?;
-    let group_cols: Vec<usize> = q
-        .group_by
-        .iter()
-        .map(|c| table.schema().index_of(c))
-        .collect::<DbResult<_>>()?;
-    let aggs = resolve_aggs(table, &q.aggregates)?;
-    if aggs.is_empty() {
-        return Err(DbError::InvalidQuery(
-            "queries must compute at least one aggregate".to_string(),
-        ));
-    }
-    let (rows, scanned) = scan_domain(table, q.filter.as_ref(), None, row_range)?;
-    let matched = rows.len() as u64;
-    let accs = aggregate::grouping_sets_scan_partial(table, &rows, &[group_cols], &aggs)?;
-    Ok(RawPartial {
-        accs,
-        stats: ExecStats {
-            rows_scanned: scanned,
-            rows_matched: matched,
-            table_scans: 1,
-            groups_emitted: 0,
-            partitions: 1,
-            elapsed: start.elapsed(),
-            ..ExecStats::default()
-        },
-    })
-}
-
-/// Execute a [`SetsQuery`] over a row slice *without finalizing*.
-///
-/// # Errors
-/// Same as [`execute_partial_ranged`].
-pub(crate) fn execute_sets_partial_ranged(
-    table: &Table,
-    q: &SetsQuery,
-    row_range: Option<(usize, usize)>,
-) -> DbResult<RawPartial> {
-    let start = Instant::now();
-    check_not_sampled(q.sample.as_ref())?;
-    let sets: Vec<Vec<usize>> = q
+    let sets: Vec<Vec<usize>> = plan
         .sets
         .iter()
         .map(|set| {
@@ -550,74 +431,19 @@ pub(crate) fn execute_sets_partial_ranged(
                 .collect::<DbResult<Vec<usize>>>()
         })
         .collect::<DbResult<_>>()?;
-    let aggs = resolve_aggs(table, &q.aggregates)?;
-    let (rows, scanned) = scan_domain(table, q.filter.as_ref(), None, row_range)?;
-    let matched = rows.len() as u64;
+    let aggs = resolve_aggs(table, &plan.aggregates)?;
+    let (rows, scanned) = scan_domain(table, plan.filter.as_ref(), plan.sample.as_ref(), range)?;
     let accs = aggregate::grouping_sets_scan_partial(table, &rows, &sets, &aggs)?;
-    Ok(RawPartial {
-        accs,
-        stats: ExecStats {
-            rows_scanned: scanned,
-            rows_matched: matched,
-            table_scans: 1,
-            groups_emitted: 0,
-            partitions: 1,
-            elapsed: start.elapsed(),
-            ..ExecStats::default()
-        },
-    })
-}
-
-/// Execute a [`SetsQuery`]: one scan, many grouping sets.
-///
-/// # Errors
-/// Unknown columns, type errors, or invalid query shapes.
-pub fn execute_sets(table: &Table, q: &SetsQuery) -> DbResult<SetsOutput> {
-    execute_sets_ranged(table, q, None)
-}
-
-/// Execute a [`SetsQuery`] over an optional row slice of the table.
-///
-/// # Errors
-/// Unknown columns, type errors, or invalid query shapes.
-pub fn execute_sets_ranged(
-    table: &Table,
-    q: &SetsQuery,
-    row_range: Option<(usize, usize)>,
-) -> DbResult<SetsOutput> {
-    let start = Instant::now();
-    let sets: Vec<Vec<usize>> = q
-        .sets
-        .iter()
-        .map(|set| {
-            set.iter()
-                .map(|c| table.schema().index_of(c))
-                .collect::<DbResult<Vec<usize>>>()
-        })
-        .collect::<DbResult<_>>()?;
-    let aggs = resolve_aggs(table, &q.aggregates)?;
-    let (rows, scanned) = scan_domain(table, q.filter.as_ref(), q.sample.as_ref(), row_range)?;
-    let matched = rows.len() as u64;
-    let grouped = aggregate::grouping_sets_scan(table, &rows, &sets, &aggs)?;
-    let groups: u64 = grouped.iter().map(|g| g.num_groups() as u64).sum();
-    let results = q
-        .sets
-        .iter()
-        .zip(grouped)
-        .map(|(set, g)| grouped_to_result(set, &q.aggregates, g))
-        .collect();
-    Ok(SetsOutput {
-        results,
-        stats: ExecStats {
-            rows_scanned: scanned,
-            rows_matched: matched,
-            table_scans: 1,
-            groups_emitted: groups,
-            partitions: 1,
-            elapsed: start.elapsed(),
-            ..ExecStats::default()
-        },
-    })
+    let stats = ExecStats {
+        rows_scanned: scanned,
+        rows_matched: rows.len() as u64,
+        table_scans: 1,
+        groups_emitted: total_groups(&accs),
+        partitions: 1,
+        elapsed: start.elapsed(),
+        ..ExecStats::default()
+    };
+    Ok((accs, stats))
 }
 
 #[cfg(test)]
@@ -653,9 +479,9 @@ mod tests {
             vec!["store"],
             vec![AggSpec::new(AggFunc::Sum, "amount")],
         );
-        let out = execute(&t, &q).unwrap();
-        assert_eq!(out.result.columns, vec!["store", "SUM(amount)"]);
-        assert_eq!(out.result.num_rows(), 3);
+        let out = q.plan().execute(&t).unwrap();
+        assert_eq!(out.results[0].columns, vec!["store", "SUM(amount)"]);
+        assert_eq!(out.results[0].num_rows(), 3);
         assert_eq!(out.stats.rows_scanned, 4);
         assert_eq!(out.stats.table_scans, 1);
         assert_eq!(out.stats.groups_emitted, 3);
@@ -670,10 +496,11 @@ mod tests {
             vec![AggSpec::new(AggFunc::Sum, "amount")],
         )
         .with_filter(Expr::col("product").eq("Laserwave"));
-        let out = execute(&t, &q).unwrap();
-        assert_eq!(out.result.num_rows(), 2); // MA, WA only
-                                              // Cost: the filter is evaluated inside the scan, so all 4 rows
-                                              // are charged.
+        let out = q.plan().execute(&t).unwrap();
+        assert_eq!(out.results[0].num_rows(), 2); // MA, WA only
+
+        // Cost: the filter is evaluated inside the scan, so all 4 rows
+        // are charged.
         assert_eq!(out.stats.rows_scanned, 4);
     }
 
@@ -690,9 +517,12 @@ mod tests {
                 AggSpec::new(AggFunc::Sum, "amount").with_alias("comparison"),
             ],
         );
-        let out = execute(&t, &q).unwrap();
-        assert_eq!(out.result.columns, vec!["store", "target", "comparison"]);
-        let ma = &out.result.rows[0];
+        let out = q.plan().execute(&t).unwrap();
+        assert_eq!(
+            out.results[0].columns,
+            vec!["store", "target", "comparison"]
+        );
+        let ma = &out.results[0].rows[0];
         assert_eq!(ma[1], Value::Float(10.0));
         assert_eq!(ma[2], Value::Float(30.0));
     }
@@ -700,14 +530,11 @@ mod tests {
     #[test]
     fn sets_query_shares_one_scan() {
         let t = sales();
-        let q = SetsQuery {
-            table: "sales".into(),
-            filter: None,
+        let plan = PhysicalPlan {
             sets: vec![vec!["store".into()], vec!["product".into()]],
-            aggregates: vec![AggSpec::new(AggFunc::Sum, "amount")],
-            sample: None,
+            ..Query::aggregate("sales", vec![], vec![AggSpec::new(AggFunc::Sum, "amount")]).plan()
         };
-        let out = execute_sets(&t, &q).unwrap();
+        let out = plan.execute(&t).unwrap();
         assert_eq!(out.results.len(), 2);
         assert_eq!(out.stats.table_scans, 1);
         assert_eq!(out.stats.rows_scanned, 4);
@@ -732,7 +559,7 @@ mod tests {
     fn no_aggregates_rejected() {
         let t = sales();
         let q = Query::aggregate("sales", vec!["store"], vec![]);
-        assert!(execute(&t, &q).is_err());
+        assert!(q.plan().execute(&t).is_err());
     }
 
     #[test]
@@ -743,8 +570,8 @@ mod tests {
             vec!["store"],
             vec![AggSpec::new(AggFunc::Sum, "amount")],
         );
-        let out = execute(&t, &q).unwrap();
-        let text = out.result.to_text();
+        let out = q.plan().execute(&t).unwrap();
+        let text = out.results[0].to_text();
         assert!(text.contains("store"));
         assert!(text.contains("MA"));
         assert!(text.lines().count() >= 5);
@@ -819,7 +646,7 @@ mod tests {
             vec![AggSpec::new(AggFunc::Sum, "amount")],
         )
         .with_filter(Expr::col("product").eq("Laserwave"));
-        let out = execute(&t, &q).unwrap();
+        let out = q.plan().execute(&t).unwrap();
         assert_eq!(out.stats.rows_scanned, 4);
         assert_eq!(out.stats.rows_matched, 2);
         assert_eq!(out.stats.partitions, 1);

@@ -17,9 +17,11 @@
 //!   behind SeeDB's combined target/comparison and combined group-by
 //!   rewrites;
 //! * Bernoulli and reservoir sampling ([`sample`]);
-//! * a typed logical/physical plan layer the optimizer targets, lowering
-//!   onto those shared-scan primitives ([`plan`]);
-//! * parallel batch execution of plans ([`parallel`]);
+//! * a typed logical/physical plan layer the optimizer targets: every
+//!   plan is one filtered scan feeding one or more grouping sets, and
+//!   executes as partial scan → merge → finalize ([`plan`]);
+//! * parallel execution across plans and across row partitions of one
+//!   plan ([`parallel`]);
 //! * table/column statistics and association measures ([`stats`]);
 //! * deterministic cost accounting ([`cost`]);
 //! * a SQL subset parser for the analyst-facing text box ([`sql`]);
@@ -47,7 +49,7 @@
 //! let q = Query::aggregate("sales", vec!["store"], vec![AggSpec::new(AggFunc::Sum, "amount")])
 //!     .with_filter(Expr::col("product").eq("Laserwave"));
 //! let out = db.run(&q).unwrap();
-//! assert_eq!(out.result.num_rows(), 2);
+//! assert_eq!(out.results[0].num_rows(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -79,15 +81,10 @@ pub use catalog::Database;
 pub use column::{Column, StrDict};
 pub use cost::{CostCounters, CostSnapshot};
 pub use error::{DbError, DbResult};
-pub use exec::{
-    AggFunc, AggSpec, AggState, CacheOutcome, ExactSum, ExecStats, Query, QueryOutput, ResultSet,
-    SetsOutput, SetsQuery,
-};
+pub use exec::{AggFunc, AggSpec, AggState, CacheOutcome, ExactSum, ExecStats, Query, ResultSet};
 pub use expr::{CmpOp, Expr};
 pub use metrics::{ExecMetrics, StoreMetrics};
-pub use parallel::{
-    run_batch, run_partitioned, run_partitioned_partial, run_partitioned_partial_obs, BatchOutput,
-};
+pub use parallel::{run_batch, run_partitioned_partial, run_partitioned_partial_obs, BatchOutput};
 pub use plan::{LogicalPlan, PartialAggState, PhysicalPlan, PlanOutput};
 pub use sample::{sample_rows, SampleSpec};
 pub use schema::{ColumnDef, Role, Schema, Semantic};

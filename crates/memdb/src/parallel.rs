@@ -8,16 +8,17 @@
 //! lowered to its physical operator and executed, and outputs come back
 //! in input order regardless of completion order.
 //!
-//! [`run_partitioned`] is the complementary *intra*-plan axis: one
-//! shared-scan plan is split into contiguous row ranges, each range is
-//! executed on its own `std::thread::scope` worker via
+//! [`run_partitioned_partial`] is the complementary *intra*-plan axis:
+//! one shared-scan plan is split into contiguous row ranges, each range
+//! is executed on its own `std::thread::scope` worker via
 //! [`PhysicalPlan::execute_partial`], and the per-partition
-//! [`PartialAggState`]s are merged in ascending partition order before a
-//! single finalize. Because every aggregate component is associative
-//! (SUM/AVG through exact order-independent summation,
-//! [`crate::exec::ExactSum`]), the output is **byte-identical** to
-//! single-threaded [`PhysicalPlan::execute`] for every worker count and
-//! partition shape — `tests/plan_equivalence.rs` holds it to that.
+//! [`PartialAggState`]s are merged in ascending partition order; the
+//! caller finalizes once. Because every aggregate component is
+//! associative (SUM/AVG through exact order-independent summation,
+//! [`crate::exec::ExactSum`]), the finalized output is **byte-identical**
+//! for every worker count and partition shape —
+//! `tests/plan_equivalence.rs` holds it to that, against one partition
+//! and against an independent naive evaluator.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -45,7 +46,7 @@ impl BatchOutput {
         let times: Vec<Duration> = self
             .outputs
             .iter()
-            .filter_map(|r| r.as_ref().ok().map(PlanOutput::elapsed))
+            .filter_map(|r| r.as_ref().ok().map(|o| o.stats.elapsed))
             .collect();
         if times.is_empty() {
             return Duration::ZERO;
@@ -107,14 +108,15 @@ pub fn run_batch(db: &Database, plans: &[LogicalPlan], workers: usize) -> BatchO
 
 /// Execute one already-lowered plan across `workers` row partitions,
 /// merging partial aggregate states in partition order, without
-/// finalizing. This is the reusable core of [`run_partitioned`]; phased
-/// execution (`seedb-core`) folds the returned state into its per-view
+/// finalizing: callers either [`PartialAggState::finalize`] the state or
+/// (phased execution in `seedb-core`) fold it into their own
 /// accumulators directly instead of re-parsing finalized rows.
 ///
 /// # Errors
-/// Unknown columns, type errors, or a sampled plan (sampling does not
-/// compose across partitions — callers should fall back to
-/// [`PhysicalPlan::execute`]).
+/// Unknown columns, type errors, or a sampled plan split across more
+/// than one partition (sampling does not compose across partitions —
+/// run it with `workers = 1`, which is what [`PhysicalPlan::execute`]
+/// does).
 pub fn run_partitioned_partial(
     table: &Table,
     plan: &PhysicalPlan,
@@ -199,31 +201,6 @@ pub fn run_partitioned_partial_obs(
     Ok(merged)
 }
 
-/// Execute a single plan with intra-plan parallelism: the scan is split
-/// into `workers` contiguous row ranges executed concurrently, and the
-/// partial aggregate states are merged deterministically (ascending
-/// partition order) before one finalize. The result is byte-identical
-/// to single-threaded execution; cost counters record the full scan
-/// domain. Sampled plans cannot be partitioned and fall back to a
-/// plain single-threaded execution.
-///
-/// # Errors
-/// Malformed plans (`InvalidQuery`), unknown table/columns, type errors.
-pub fn run_partitioned(db: &Database, plan: &LogicalPlan, workers: usize) -> DbResult<PlanOutput> {
-    let phys = plan.lower()?;
-    if phys.is_sampled() || workers <= 1 {
-        return db.run_physical(&phys);
-    }
-    let start = Instant::now();
-    let table = db.table(phys.table())?;
-    let mut out = run_partitioned_partial(&table, &phys, workers)?.finalize(&table)?;
-    // Merged stats carry summed per-worker scan time; report the
-    // actual wall clock like a single-threaded execution would.
-    out.stats_mut().elapsed = start.elapsed();
-    db.record_stats(out.stats());
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,12 +249,7 @@ mod tests {
         let par = run_batch(&db, &ps, 4);
         assert_eq!(seq.outputs.len(), 8);
         for (a, b) in seq.outputs.iter().zip(par.outputs.iter()) {
-            match (a.as_ref().unwrap(), b.as_ref().unwrap()) {
-                (PlanOutput::Aggregate(x), PlanOutput::Aggregate(y)) => {
-                    assert_eq!(x.result, y.result);
-                }
-                _ => panic!("shape mismatch"),
-            }
+            assert_eq!(a.as_ref().unwrap().results, b.as_ref().unwrap().results);
         }
     }
 
@@ -311,16 +283,17 @@ mod tests {
             vec![AggSpec::new(AggFunc::Sum, "m")],
         )];
         let out = run_batch(&db, &ps, 2);
-        match out.outputs[0].as_ref().unwrap() {
-            PlanOutput::GroupingSets(s) => assert_eq!(s.results.len(), 2),
-            _ => panic!("expected grouping-sets output"),
-        }
+        assert_eq!(out.outputs[0].as_ref().unwrap().results.len(), 2);
+    }
+
+    /// `plan` over `workers` row partitions, merged and finalized.
+    fn run_split(table: &Table, plan: &LogicalPlan, workers: usize) -> DbResult<PlanOutput> {
+        run_partitioned_partial(table, &plan.lower()?, workers)?.finalize(table)
     }
 
     fn assert_outputs_bitwise_eq(a: &PlanOutput, b: &PlanOutput) {
-        assert_eq!(a.num_result_sets(), b.num_result_sets());
-        for s in 0..a.num_result_sets() {
-            let (ra, rb) = (a.result_set(s).unwrap(), b.result_set(s).unwrap());
+        assert_eq!(a.results.len(), b.results.len());
+        for (ra, rb) in a.results.iter().zip(&b.results) {
             assert_eq!(ra.columns, rb.columns);
             assert_eq!(ra.rows.len(), rb.rows.len());
             for (x, y) in ra.rows.iter().zip(&rb.rows) {
@@ -365,7 +338,7 @@ mod tests {
         for plan in [filtered, sets, sliced] {
             let single = plan.lower().unwrap().execute(&table).unwrap();
             for workers in [2usize, 3, 4, 7, 1000] {
-                let partitioned = run_partitioned(&db, &plan, workers).unwrap();
+                let partitioned = run_split(&table, &plan, workers).unwrap();
                 assert_outputs_bitwise_eq(&single, &partitioned);
             }
         }
@@ -402,7 +375,7 @@ mod tests {
             let plan = if flip { plan.sliced(1, 64) } else { plan };
             let single = plan.lower().unwrap().execute(&table).unwrap();
             for workers in [2usize, 3, 7] {
-                let partitioned = run_partitioned(&db, &plan, workers).unwrap();
+                let partitioned = run_split(&table, &plan, workers).unwrap();
                 assert_outputs_bitwise_eq(&single, &partitioned);
             }
         }
@@ -418,39 +391,25 @@ mod tests {
         for (lo, hi) in [(500usize, 300usize), (1200, 900), (5000, 9000)] {
             let plan = base.clone().sliced(lo, hi);
             let single = plan.lower().unwrap().execute(&table).unwrap();
-            let partitioned = run_partitioned(&db, &plan, 4).unwrap();
+            let partitioned = run_split(&table, &plan, 4).unwrap();
             assert_eq!(single.result_set(0).unwrap().num_rows(), 0);
             assert_outputs_bitwise_eq(&single, &partitioned);
         }
     }
 
     #[test]
-    fn partitioned_records_full_scan_cost_once() {
+    fn partitioned_reports_full_scan_cost_once() {
         let db = db();
+        let table = db.table("t").unwrap();
         let plan = LogicalPlan::scan("t")
             .aggregate(vec!["d1".into()], vec![AggSpec::new(AggFunc::Sum, "m")]);
-        db.reset_cost();
-        run_partitioned(&db, &plan, 4).unwrap();
-        let cost = db.cost();
-        assert_eq!(cost.queries, 1);
-        assert_eq!(cost.rows_scanned, 1000);
+        let stats = run_split(&table, &plan, 4).unwrap().stats;
+        assert_eq!(stats.rows_scanned, 1000);
+        assert_eq!(stats.partitions, 4);
+        assert_eq!(stats.groups_emitted, 7);
         // One *logical* shared scan, regardless of worker count: the
         // counter must not scale with intra-plan parallelism.
-        assert_eq!(cost.table_scans, 1);
-    }
-
-    #[test]
-    fn sampled_plans_fall_back_to_single_threaded() {
-        let db = db();
-        let plan = LogicalPlan::scan("t")
-            .aggregate(vec!["d1".into()], vec![AggSpec::new(AggFunc::Sum, "m")])
-            .sampled(Some(crate::sample::SampleSpec::Bernoulli {
-                fraction: 0.5,
-                seed: 7,
-            }));
-        let single = db.execute_plan(&plan).unwrap();
-        let partitioned = run_partitioned(&db, &plan, 4).unwrap();
-        assert_outputs_bitwise_eq(&single, &partitioned);
+        assert_eq!(stats.table_scans, 1);
     }
 
     #[test]

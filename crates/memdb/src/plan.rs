@@ -5,12 +5,17 @@
 //! into few shared-scan DBMS queries. This module gives that rewrite a
 //! typed target: the optimizer emits [`LogicalPlan`] trees (scan →
 //! filter → shared-scan aggregate / grouping sets), [`lower`] validates
-//! each tree and picks the physical operator, and
-//! [`crate::parallel::run_batch`] (or [`crate::Database::execute_plan`])
-//! executes the result. All three paper optimizations — combined
-//! target/comparison (per-aggregate predicates), combined aggregates,
-//! and combined group-bys — lower onto the same shared-scan aggregation
-//! operator in [`crate::exec`].
+//! each tree into the one [`PhysicalPlan`] shape — a filtered scan
+//! feeding one or more grouping sets; a single aggregate is the 1-set
+//! case — and [`crate::parallel::run_batch`] (or
+//! [`crate::Database::execute_plan`]) executes the result. All three
+//! paper optimizations — combined target/comparison (per-aggregate
+//! predicates), combined aggregates, and combined group-bys — run
+//! through the same path: [`PhysicalPlan::execute_partial`] scans a row
+//! range into a mergeable [`PartialAggState`], states of disjoint ranges
+//! [`merge`](PartialAggState::merge), and
+//! [`finalize`](PartialAggState::finalize) produces the [`PlanOutput`].
+//! [`PhysicalPlan::execute`] is that pipeline over a single partition.
 //!
 //! ```
 //! use memdb::{plan::LogicalPlan, AggFunc, AggSpec, Expr};
@@ -29,12 +34,8 @@
 //! assert!(plan.lower().is_ok());
 //! ```
 
-use std::time::Duration;
-
 use crate::error::{DbError, DbResult};
-use crate::exec::{
-    self, AggSpec, AggState, ExecStats, Query, QueryOutput, ResultSet, SetsOutput, SetsQuery,
-};
+use crate::exec::{self, AggSpec, AggState, ExecStats, ResultSet};
 use crate::expr::Expr;
 use crate::sample::SampleSpec;
 use crate::table::Table;
@@ -180,10 +181,11 @@ impl LogicalPlan {
     }
 }
 
-/// Source description shared by both physical operators.
-#[derive(Debug, Clone, Default)]
+/// Scan source of a plan: what [`lower`] collects below the aggregation
+/// root.
+#[derive(Debug, Clone)]
 struct Source {
-    table: Option<String>,
+    table: String,
     filter: Option<Expr>,
     sample: Option<SampleSpec>,
     row_range: Option<(usize, usize)>,
@@ -192,7 +194,7 @@ struct Source {
 fn lower_source(node: &LogicalPlan) -> DbResult<Source> {
     match node {
         LogicalPlan::Scan(s) => Ok(Source {
-            table: Some(s.table.clone()),
+            table: s.table.clone(),
             filter: None,
             sample: s.sample,
             row_range: s.row_range,
@@ -213,110 +215,67 @@ fn lower_source(node: &LogicalPlan) -> DbResult<Source> {
     }
 }
 
-/// The physical operator a logical plan lowers to, plus its scan-domain
-/// restriction. Wraps the executor's query types.
+/// The physical operator every logical plan lowers to: one shared scan
+/// of `table` (sampled and/or sliced, then filtered) feeding every
+/// grouping set in `sets` with every aggregate in `aggregates`.
 #[derive(Debug, Clone)]
-pub enum PhysicalPlan {
-    /// One shared scan, one grouping ([`exec::execute`]).
-    Aggregate {
-        /// The executable query.
-        query: Query,
-        /// Optional half-open row slice of the scan domain.
-        row_range: Option<(usize, usize)>,
-    },
-    /// One shared scan, many groupings ([`exec::execute_sets`]).
-    GroupingSets {
-        /// The executable query.
-        query: SetsQuery,
-        /// Optional half-open row slice of the scan domain.
-        row_range: Option<(usize, usize)>,
-    },
+pub struct PhysicalPlan {
+    /// Table to scan.
+    pub table: String,
+    /// Scan-level filter (`WHERE`): rows failing it contribute to nothing.
+    pub filter: Option<Expr>,
+    /// The grouping sets (at least one; an empty set is one global
+    /// group); each produces its own [`ResultSet`].
+    pub sets: Vec<Vec<String>>,
+    /// Aggregates computed for every set in the shared pass.
+    pub aggregates: Vec<AggSpec>,
+    /// Optional sampling of the scan domain.
+    pub sample: Option<SampleSpec>,
+    /// Optional half-open row slice of the scan domain.
+    pub row_range: Option<(usize, usize)>,
 }
 
-/// Lower a logical plan to its physical operator.
-///
-/// A [`LogicalPlan::GroupingSets`] with exactly one set lowers to the
-/// simpler single-grouping operator — callers build the general shape
-/// and the planner picks the fast path.
+/// Lower a logical plan to its physical operator. An
+/// [`LogicalPlan::Aggregate`] node and a one-set
+/// [`LogicalPlan::GroupingSets`] node lower to the same plan.
 ///
 /// # Errors
 /// `InvalidQuery` for malformed trees (see [`LogicalPlan::lower`]).
 pub fn lower(plan: &LogicalPlan) -> DbResult<PhysicalPlan> {
-    match plan {
-        LogicalPlan::Scan(_) | LogicalPlan::Filter(_) => Err(DbError::InvalidQuery(
-            "plan root must be an aggregation (bare scans have no output operator)".to_string(),
-        )),
-        LogicalPlan::Aggregate(a) => {
-            if a.aggregates.is_empty() {
-                return Err(DbError::InvalidQuery(
-                    "aggregate node computes no aggregates".to_string(),
-                ));
-            }
-            let src = lower_source(&a.input)?;
-            Ok(PhysicalPlan::Aggregate {
-                query: Query {
-                    table: src.table.expect("source always has a table"),
-                    filter: src.filter,
-                    group_by: a.group_by.clone(),
-                    aggregates: a.aggregates.clone(),
-                    sample: src.sample,
-                },
-                row_range: src.row_range,
-            })
+    let (input, sets, aggregates) = match plan {
+        LogicalPlan::Scan(_) | LogicalPlan::Filter(_) => {
+            return Err(DbError::InvalidQuery(
+                "plan root must be an aggregation (bare scans have no output operator)".to_string(),
+            ))
         }
-        LogicalPlan::GroupingSets(g) => {
-            if g.aggregates.is_empty() {
-                return Err(DbError::InvalidQuery(
-                    "grouping-sets node computes no aggregates".to_string(),
-                ));
-            }
-            if g.sets.is_empty() {
-                return Err(DbError::InvalidQuery(
-                    "grouping-sets node has no grouping sets".to_string(),
-                ));
-            }
-            let src = lower_source(&g.input)?;
-            let table = src.table.expect("source always has a table");
-            if g.sets.len() == 1 {
-                // Single-set shared scan degenerates to the plain
-                // single-grouping operator.
-                return Ok(PhysicalPlan::Aggregate {
-                    query: Query {
-                        table,
-                        filter: src.filter,
-                        group_by: g.sets[0].clone(),
-                        aggregates: g.aggregates.clone(),
-                        sample: src.sample,
-                    },
-                    row_range: src.row_range,
-                });
-            }
-            Ok(PhysicalPlan::GroupingSets {
-                query: SetsQuery {
-                    table,
-                    filter: src.filter,
-                    sets: g.sets.clone(),
-                    aggregates: g.aggregates.clone(),
-                    sample: src.sample,
-                },
-                row_range: src.row_range,
-            })
-        }
+        LogicalPlan::Aggregate(a) => (&a.input, vec![a.group_by.clone()], &a.aggregates),
+        LogicalPlan::GroupingSets(g) => (&g.input, g.sets.clone(), &g.aggregates),
+    };
+    if aggregates.is_empty() {
+        return Err(DbError::InvalidQuery(
+            "aggregation node computes no aggregates".to_string(),
+        ));
     }
+    if sets.is_empty() {
+        return Err(DbError::InvalidQuery(
+            "grouping-sets node has no grouping sets".to_string(),
+        ));
+    }
+    let src = lower_source(input)?;
+    Ok(PhysicalPlan {
+        table: src.table,
+        filter: src.filter,
+        sets,
+        aggregates: aggregates.clone(),
+        sample: src.sample,
+        row_range: src.row_range,
+    })
 }
 
 impl PhysicalPlan {
-    /// The table this plan scans.
-    pub fn table(&self) -> &str {
-        match self {
-            PhysicalPlan::Aggregate { query, .. } => &query.table,
-            PhysicalPlan::GroupingSets { query, .. } => &query.table,
-        }
-    }
-
     /// A canonical fingerprint of everything that determines this plan's
     /// output: table, scan predicate, sampling, row slice, grouping
-    /// set(s), and every aggregate (function, column, alias, and
+    /// sets, and every aggregate (function, column, alias, and
     /// per-aggregate predicate). Two plans with equal fingerprints
     /// produce byte-identical [`PlanOutput`]s against the same table
     /// version — the cache key of the serving layer. Free-text fields
@@ -332,32 +291,15 @@ impl PhysicalPlan {
             out.push_str(s);
             out.push('\n');
         };
-        let (table, filter, sample, sets, aggs, row_range, shape) = match self {
-            PhysicalPlan::Aggregate { query, row_range } => (
-                &query.table,
-                &query.filter,
-                &query.sample,
-                vec![query.group_by.clone()],
-                &query.aggregates,
-                row_range,
-                "agg",
-            ),
-            PhysicalPlan::GroupingSets { query, row_range } => (
-                &query.table,
-                &query.filter,
-                &query.sample,
-                query.sets.clone(),
-                &query.aggregates,
-                row_range,
-                "sets",
-            ),
-        };
+        // Leading one-set/multi-set marker: `warm.plans` files are sorted
+        // by fingerprint, so it is part of the on-disk byte order.
+        let shape = if self.sets.len() == 1 { "agg" } else { "sets" };
         push(&mut out, "shape", shape);
-        push(&mut out, "table", table);
+        push(&mut out, "table", &self.table);
         push(
             &mut out,
             "range",
-            &match row_range {
+            &match self.row_range {
                 None => "none".to_string(),
                 Some((lo, hi)) => format!("{lo},{hi}"),
             },
@@ -365,7 +307,7 @@ impl PhysicalPlan {
         push(
             &mut out,
             "sample",
-            &match sample {
+            &match self.sample {
                 None => "none".to_string(),
                 Some(s) => format!("{s:?}"),
             },
@@ -373,17 +315,17 @@ impl PhysicalPlan {
         push(
             &mut out,
             "filter",
-            &filter.as_ref().map(Expr::to_sql).unwrap_or_default(),
+            &self.filter.as_ref().map(Expr::to_sql).unwrap_or_default(),
         );
-        push(&mut out, "nsets", &sets.len().to_string());
-        for set in &sets {
+        push(&mut out, "nsets", &self.sets.len().to_string());
+        for set in &self.sets {
             push(&mut out, "ncols", &set.len().to_string());
             for col in set {
                 push(&mut out, "col", col);
             }
         }
-        push(&mut out, "naggs", &aggs.len().to_string());
-        for a in aggs {
+        push(&mut out, "naggs", &self.aggregates.len().to_string());
+        for a in &self.aggregates {
             push(&mut out, "func", a.func.sql());
             push(&mut out, "acol", a.column.as_deref().unwrap_or("*"));
             push(&mut out, "alias", a.alias.as_deref().unwrap_or(""));
@@ -396,40 +338,22 @@ impl PhysicalPlan {
         out
     }
 
-    /// Execute directly against a table (no catalog, no cost recording).
+    /// Execute directly against a table (no catalog, no cost recording):
+    /// one partition covering the whole scan range, finalized.
     ///
     /// # Errors
     /// Unknown columns, type errors, or invalid query shapes.
     pub fn execute(&self, table: &Table) -> DbResult<PlanOutput> {
-        match self {
-            PhysicalPlan::Aggregate { query, row_range } => {
-                exec::execute_ranged(table, query, *row_range).map(PlanOutput::Aggregate)
-            }
-            PhysicalPlan::GroupingSets { query, row_range } => {
-                exec::execute_sets_ranged(table, query, *row_range).map(PlanOutput::GroupingSets)
-            }
-        }
-    }
-
-    /// Whether the plan samples its scan (sampled plans cannot be
-    /// executed partially: per-partition samples do not compose).
-    pub fn is_sampled(&self) -> bool {
-        match self {
-            PhysicalPlan::Aggregate { query, .. } => query.sample.is_some(),
-            PhysicalPlan::GroupingSets { query, .. } => query.sample.is_some(),
-        }
+        self.execute_partial(table, self.scan_range(table))?
+            .finalize(table)
     }
 
     /// The half-open row range this plan scans of `table` (its own
     /// slice restriction clamped to the table). Always well-formed
     /// (`lo <= hi`): an inverted or out-of-range slice degenerates to
-    /// an empty range, matching the empty output `execute` produces.
+    /// an empty range and so to an empty output.
     pub fn scan_range(&self, table: &Table) -> (usize, usize) {
-        let row_range = match self {
-            PhysicalPlan::Aggregate { row_range, .. } => *row_range,
-            PhysicalPlan::GroupingSets { row_range, .. } => *row_range,
-        };
-        match row_range {
+        match self.row_range {
             None => (0, table.num_rows()),
             Some((lo, hi)) => {
                 let lo = lo.min(table.num_rows());
@@ -441,43 +365,37 @@ impl PhysicalPlan {
     /// Execute this plan over the row slice `range` of `table` without
     /// finalizing, returning mergeable per-(set, group, aggregate)
     /// state. `range` is intersected with the plan's own slice; the
-    /// full-plan result is recovered by merging the partial states of a
-    /// partition of the scan range and calling
-    /// [`PartialAggState::finalize`] — bit-for-bit identical to
-    /// [`PhysicalPlan::execute`] for any partition shape.
+    /// full-plan result is recovered by merging the partial states of
+    /// any partition of the scan range in ascending order and calling
+    /// [`PartialAggState::finalize`] — bit-for-bit the same for every
+    /// partition shape.
     ///
     /// # Errors
-    /// Unknown columns, type errors, or a sampled plan.
+    /// Unknown columns, type errors, or — `InvalidQuery` — a sampled
+    /// plan over less than its whole scan range: the sampled row domain
+    /// depends on the scanned range, so per-partition samples do not
+    /// compose.
     pub fn execute_partial(
         &self,
         table: &Table,
         range: (usize, usize),
     ) -> DbResult<PartialAggState> {
         let (plan_lo, plan_hi) = self.scan_range(table);
-        let eff = (
-            range.0.max(plan_lo),
-            range.1.min(plan_hi).max(range.0.max(plan_lo)),
-        );
-        let (raw, single, group_by, aggregates) = match self {
-            PhysicalPlan::Aggregate { query, .. } => (
-                exec::execute_partial_ranged(table, query, Some(eff))?,
-                true,
-                vec![query.group_by.clone()],
-                query.aggregates.clone(),
-            ),
-            PhysicalPlan::GroupingSets { query, .. } => (
-                exec::execute_sets_partial_ranged(table, query, Some(eff))?,
-                false,
-                query.sets.clone(),
-                query.aggregates.clone(),
-            ),
-        };
+        let lo = range.0.max(plan_lo);
+        let eff = (lo, range.1.min(plan_hi).max(lo));
+        if self.sample.is_some() && eff != (plan_lo, plan_hi) {
+            return Err(DbError::InvalidQuery(
+                "sampled plans cannot be split into row partitions: the sampled row domain \
+                 depends on the scanned range, so per-partition samples do not compose"
+                    .to_string(),
+            ));
+        }
+        let (accs, stats) = exec::scan_partial(table, self, eff)?;
         Ok(PartialAggState {
-            accs: raw.accs,
-            single,
-            group_by,
-            aggregates,
-            stats: raw.stats,
+            accs,
+            group_by: self.sets.clone(),
+            aggregates: self.aggregates.clone(),
+            stats,
         })
     }
 }
@@ -490,15 +408,13 @@ impl PhysicalPlan {
 /// over *disjoint* row ranges of the *same* table and plan may be
 /// [`merge`](PartialAggState::merge)d in ascending range order and then
 /// [`finalize`](PartialAggState::finalize)d; the resulting
-/// [`PlanOutput`] is byte-identical to [`PhysicalPlan::execute`] over
-/// the union of the ranges, for every partition shape. This holds
-/// because every per-(group, aggregate) component is associative —
-/// count/min/max trivially, SUM/AVG via exact order-independent
-/// summation ([`crate::exec::ExactSum`]).
+/// [`PlanOutput`] is byte-identical for every partition shape of the
+/// same union of ranges. This holds because every per-(group, aggregate)
+/// component is associative — count/min/max trivially, SUM/AVG via exact
+/// order-independent summation ([`crate::exec::ExactSum`]).
 #[derive(Debug, Clone)]
 pub struct PartialAggState {
     accs: Vec<exec::aggregate::SetAcc>,
-    single: bool,
     group_by: Vec<Vec<String>>,
     aggregates: Vec<AggSpec>,
     stats: ExecStats,
@@ -507,13 +423,14 @@ pub struct PartialAggState {
 impl PartialAggState {
     /// Fold another partition's state into this one. Cost figures
     /// accumulate (`rows_scanned` sums to the full scan domain;
-    /// `table_scans` counts per-partition range scans).
+    /// `table_scans` counts per-partition range scans), except
+    /// `groups_emitted`, which is the merged state's group count.
     ///
     /// # Errors
-    /// `Internal` if the two states come from different plan shapes:
-    /// output shape, grouping columns, and aggregate specs (function,
-    /// column, alias, per-aggregate predicate) must all match — same-
-    /// arity states from *different* plans must not merge silently.
+    /// `Internal` if the two states come from different plans: grouping
+    /// sets and aggregate specs (function, column, alias, per-aggregate
+    /// predicate) must all match — same-arity states from *different*
+    /// plans must not merge silently.
     pub fn merge(&mut self, other: PartialAggState, table: &Table) -> DbResult<()> {
         let agg_eq = |a: &AggSpec, b: &AggSpec| {
             a.func == b.func
@@ -521,8 +438,7 @@ impl PartialAggState {
                 && a.alias == b.alias
                 && a.filter.as_ref().map(Expr::to_sql) == b.filter.as_ref().map(Expr::to_sql)
         };
-        if self.single != other.single
-            || self.group_by != other.group_by
+        if self.group_by != other.group_by
             || self.aggregates.len() != other.aggregates.len()
             || !self
                 .aggregates
@@ -536,10 +452,11 @@ impl PartialAggState {
         }
         exec::aggregate::merge_accs(&mut self.accs, &other.accs, table);
         self.stats.merge(&other.stats);
+        self.stats.groups_emitted = exec::total_groups(&self.accs);
         Ok(())
     }
 
-    /// Number of grouping sets (1 for a single-grouping plan).
+    /// Number of grouping sets.
     pub fn num_sets(&self) -> usize {
         self.accs.len()
     }
@@ -555,7 +472,7 @@ impl PartialAggState {
         self.stats.merge_ns += ns;
     }
 
-    /// Project this state onto `plan`'s grouping set(s) and aggregates,
+    /// Project this state onto `plan`'s grouping sets and aggregates,
     /// yielding the partial state a standalone execution of `plan` over
     /// the *same scan source* would have produced.
     ///
@@ -579,15 +496,8 @@ impl PartialAggState {
     /// `Internal` if a grouping set or aggregate of `plan` is not
     /// covered by this state.
     pub fn project_for(&self, plan: &PhysicalPlan) -> DbResult<PartialAggState> {
-        let (single, want_sets, want_aggs) = match plan {
-            PhysicalPlan::Aggregate { query, .. } => {
-                (true, vec![query.group_by.clone()], query.aggregates.clone())
-            }
-            PhysicalPlan::GroupingSets { query, .. } => {
-                (false, query.sets.clone(), query.aggregates.clone())
-            }
-        };
-        let set_indices: Vec<usize> = want_sets
+        let set_indices: Vec<usize> = plan
+            .sets
             .iter()
             .map(|s| {
                 self.group_by.iter().position(|g| g == s).ok_or_else(|| {
@@ -597,7 +507,8 @@ impl PartialAggState {
                 })
             })
             .collect::<DbResult<_>>()?;
-        let agg_indices: Vec<usize> = want_aggs
+        let agg_indices: Vec<usize> = plan
+            .aggregates
             .iter()
             .map(|a| {
                 let key = a.state_key();
@@ -612,16 +523,19 @@ impl PartialAggState {
                     })
             })
             .collect::<DbResult<_>>()?;
-        let accs = set_indices
+        let accs: Vec<_> = set_indices
             .iter()
             .map(|&si| self.accs[si].project_aggs(&agg_indices))
             .collect();
+        let stats = ExecStats {
+            groups_emitted: exec::total_groups(&accs),
+            ..self.stats
+        };
         Ok(PartialAggState {
             accs,
-            single,
-            group_by: want_sets,
-            aggregates: want_aggs,
-            stats: self.stats,
+            group_by: plan.sets.clone(),
+            aggregates: plan.aggregates.clone(),
+            stats,
         })
     }
 
@@ -641,16 +555,15 @@ impl PartialAggState {
         self.accs[set].group_states(g)
     }
 
-    /// Finalize into the same output shape [`PhysicalPlan::execute`]
-    /// produces (groups sorted by label, SQL null semantics applied).
+    /// Finalize into one [`ResultSet`] per grouping set (groups sorted
+    /// by label, SQL null semantics applied).
     ///
     /// Stats semantics: `rows_scanned` covers the union of the merged
     /// ranges, but `table_scans` is reported as **1** — the partitions
     /// jointly perform one logical shared scan, and the counter's
     /// documented meaning ("shared scans are the point") must not
     /// scale with the worker count. `elapsed` is the summed
-    /// per-partition scan time; [`crate::parallel::run_partitioned`]
-    /// replaces it with the measured wall clock.
+    /// per-partition scan time.
     ///
     /// # Errors
     /// Column resolution errors (impossible for states produced against
@@ -658,96 +571,49 @@ impl PartialAggState {
     pub fn finalize(self, table: &Table) -> DbResult<PlanOutput> {
         let requests = exec::resolve_aggs(table, &self.aggregates)?;
         let grouped = exec::aggregate::finalize_accs(self.accs, table, &requests);
-        let mut stats = self.stats;
-        stats.table_scans = 1;
-        stats.groups_emitted = grouped.iter().map(|g| g.num_groups() as u64).sum();
-        if self.single {
-            let g = grouped.into_iter().next().expect("one set in, one out");
-            let result = exec::grouped_to_result(&self.group_by[0], &self.aggregates, g);
-            Ok(PlanOutput::Aggregate(QueryOutput { result, stats }))
-        } else {
-            let results = self
-                .group_by
-                .iter()
-                .zip(grouped)
-                .map(|(set, g)| exec::grouped_to_result(set, &self.aggregates, g))
-                .collect();
-            Ok(PlanOutput::GroupingSets(SetsOutput { results, stats }))
-        }
+        let results = self
+            .group_by
+            .iter()
+            .zip(grouped)
+            .map(|(set, g)| exec::grouped_to_result(set, &self.aggregates, g))
+            .collect();
+        Ok(PlanOutput {
+            results,
+            stats: ExecStats {
+                table_scans: 1,
+                ..self.stats
+            },
+        })
     }
 }
 
-/// Output of an executed plan, matching [`PhysicalPlan`]'s shape.
+/// Output of an executed plan: one result set per grouping set, in plan
+/// order, plus the cost of the one shared scan.
 #[derive(Debug, Clone)]
-pub enum PlanOutput {
-    /// Output of a single-grouping plan.
-    Aggregate(QueryOutput),
-    /// Output of a multi-set plan.
-    GroupingSets(SetsOutput),
+pub struct PlanOutput {
+    /// One result per grouping set, in plan order.
+    pub results: Vec<ResultSet>,
+    /// Cost figures for the one shared scan. `stats.cache` stays
+    /// [`CacheOutcome::Uncached`](crate::exec::CacheOutcome::Uncached)
+    /// on a memoized cached output; the serving layer stamps each
+    /// request's own probe outcome on the per-request copy.
+    pub stats: ExecStats,
 }
 
 impl PlanOutput {
-    /// Execution cost figures.
-    pub fn stats(&self) -> &ExecStats {
-        match self {
-            PlanOutput::Aggregate(o) => &o.stats,
-            PlanOutput::GroupingSets(o) => &o.stats,
-        }
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut ExecStats {
-        match self {
-            PlanOutput::Aggregate(o) => &mut o.stats,
-            PlanOutput::GroupingSets(o) => &mut o.stats,
-        }
-    }
-
-    /// Stamp the cache probe outcome this output was served under. The
-    /// serving layer calls this on the per-request copy — a memoized
-    /// cached output stays [`CacheOutcome::Uncached`](crate::exec::CacheOutcome::Uncached) so each request
-    /// reports its own probe.
-    pub fn set_cache(&mut self, outcome: crate::exec::CacheOutcome) {
-        self.stats_mut().cache = outcome;
-    }
-
-    /// Wall time the query itself took (excluding queue wait).
-    pub fn elapsed(&self) -> Duration {
-        self.stats().elapsed
-    }
-
-    /// The result set at `index`: a single-grouping output has exactly
-    /// index 0; a grouping-sets output has one per set.
+    /// The result set of grouping set `index`.
     ///
     /// # Errors
-    /// `Internal` if `index` is out of range for this output's shape (a
-    /// plan/executor mismatch is a bug, surfaced as an error).
+    /// `Internal` if `index` is out of range (a plan/executor mismatch
+    /// is a bug, surfaced as an error).
     pub fn result_set(&self, index: usize) -> DbResult<&ResultSet> {
-        match self {
-            PlanOutput::Aggregate(o) => {
-                if index == 0 {
-                    Ok(&o.result)
-                } else {
-                    Err(DbError::Internal(format!(
-                        "result index {index} out of range for single-grouping output"
-                    )))
-                }
-            }
-            PlanOutput::GroupingSets(o) => o.results.get(index).ok_or_else(|| {
-                DbError::Internal(format!(
-                    "result index {} out of range ({} sets)",
-                    index,
-                    o.results.len()
-                ))
-            }),
-        }
-    }
-
-    /// Number of result sets.
-    pub fn num_result_sets(&self) -> usize {
-        match self {
-            PlanOutput::Aggregate(_) => 1,
-            PlanOutput::GroupingSets(o) => o.results.len(),
-        }
+        self.results.get(index).ok_or_else(|| {
+            DbError::Internal(format!(
+                "result index {} out of range ({} sets)",
+                index,
+                self.results.len()
+            ))
+        })
     }
 }
 
@@ -787,7 +653,7 @@ mod tests {
         let t = sales();
         let plan = LogicalPlan::scan("sales").aggregate(vec!["store".into()], sum_amount());
         let out = plan.lower().unwrap().execute(&t).unwrap();
-        assert_eq!(out.num_result_sets(), 1);
+        assert_eq!(out.results.len(), 1);
         assert_eq!(out.result_set(0).unwrap().num_rows(), 3);
         assert!(out.result_set(1).is_err());
     }
@@ -800,26 +666,23 @@ mod tests {
             .filter(Expr::col("store").eq("MA"))
             .aggregate(vec!["store".into()], sum_amount());
         let phys = plan.lower().unwrap();
-        match &phys {
-            PhysicalPlan::Aggregate { query, .. } => {
-                assert!(query.filter.is_some(), "both filters AND-combined")
-            }
-            _ => panic!("expected aggregate"),
-        }
+        assert_eq!(
+            phys.filter.as_ref().unwrap().to_sql(),
+            "(product = 'Laserwave' AND store = 'MA')",
+            "both filters AND-combined"
+        );
         let out = phys.execute(&t).unwrap();
         assert_eq!(out.result_set(0).unwrap().num_rows(), 1);
     }
 
     #[test]
-    fn single_set_grouping_sets_lowers_to_aggregate() {
-        let plan =
+    fn single_set_grouping_sets_is_the_aggregate_plan() {
+        let sets =
             LogicalPlan::scan("sales").grouping_sets(vec![vec!["store".into()]], sum_amount());
-        match plan.lower().unwrap() {
-            PhysicalPlan::Aggregate { query, .. } => {
-                assert_eq!(query.group_by, vec!["store".to_string()])
-            }
-            PhysicalPlan::GroupingSets { .. } => panic!("single set should use the fast path"),
-        }
+        let agg = LogicalPlan::scan("sales").aggregate(vec!["store".into()], sum_amount());
+        let (sets, agg) = (sets.lower().unwrap(), agg.lower().unwrap());
+        assert_eq!(sets.sets, vec![vec!["store".to_string()]]);
+        assert_eq!(sets.fingerprint(), agg.fingerprint());
     }
 
     #[test]
@@ -830,9 +693,9 @@ mod tests {
             sum_amount(),
         );
         let out = plan.lower().unwrap().execute(&t).unwrap();
-        assert_eq!(out.num_result_sets(), 2);
-        assert_eq!(out.stats().table_scans, 1);
-        assert_eq!(out.stats().rows_scanned, 4);
+        assert_eq!(out.results.len(), 2);
+        assert_eq!(out.stats.table_scans, 1);
+        assert_eq!(out.stats.rows_scanned, 4);
     }
 
     #[test]
@@ -842,7 +705,7 @@ mod tests {
         let slice = full.clone().sliced(1, 3);
         let out = slice.lower().unwrap().execute(&t).unwrap();
         assert_eq!(out.result_set(0).unwrap().rows[0][0], Value::Int(2));
-        assert_eq!(out.stats().rows_scanned, 2);
+        assert_eq!(out.stats.rows_scanned, 2);
         // Slices partition: all-phase counts sum to the full count.
         let a = LogicalPlan::scan("sales")
             .aggregate(vec![], vec![AggSpec::count_star()])
@@ -909,7 +772,7 @@ mod tests {
         db.register(sales());
         let plan = LogicalPlan::scan("sales").aggregate(vec!["store".into()], sum_amount());
         let out = db.execute_plan(&plan).unwrap();
-        assert_eq!(out.num_result_sets(), 1);
+        assert_eq!(out.results.len(), 1);
         assert_eq!(db.cost().queries, 1);
         assert_eq!(db.cost().rows_scanned, 4);
     }
@@ -998,8 +861,8 @@ mod tests {
         for member in [member_a, member_b] {
             let standalone = member.execute(&t).unwrap();
             let projected = combined.project_for(&member).unwrap().finalize(&t).unwrap();
-            assert_eq!(standalone.num_result_sets(), projected.num_result_sets());
-            for s in 0..standalone.num_result_sets() {
+            assert_eq!(standalone.results.len(), projected.results.len());
+            for s in 0..standalone.results.len() {
                 let (a, b) = (
                     standalone.result_set(s).unwrap(),
                     projected.result_set(s).unwrap(),
@@ -1044,9 +907,6 @@ mod tests {
                 fraction: 0.5,
                 seed: 1,
             }));
-        match plan.lower().unwrap() {
-            PhysicalPlan::Aggregate { query, .. } => assert!(query.sample.is_some()),
-            _ => panic!("expected aggregate"),
-        }
+        assert!(plan.lower().unwrap().sample.is_some());
     }
 }

@@ -597,21 +597,6 @@ pub(crate) fn load(
 /// reproduce deterministically.
 fn apply_record(tables: &mut HashMap<String, Arc<Table>>, record: &WalRecord) -> DbResult<()> {
     match record {
-        WalRecord::Register {
-            version,
-            table,
-            schema,
-            rows,
-        } => {
-            let schema = wal::schema_from_defs(schema.clone())?;
-            let mut t = Table::with_capacity(table, schema, rows.len());
-            for row in rows {
-                t.push_row(row.clone())
-                    .map_err(|e| corrupt(format!("WAL register of {table}: bad row: {e}")))?;
-            }
-            t.stamp_registered(*version);
-            tables.insert(table.clone(), Arc::new(t));
-        }
         WalRecord::Append {
             version,
             table,
@@ -786,58 +771,33 @@ pub fn read_plans(path: &Path) -> DbResult<Vec<PhysicalPlan>> {
     Ok(plans)
 }
 
+/// A one-set plan is written under tag 0 (its set as a bare column
+/// list), anything else under tag 1 (set count, then each set).
 fn encode_plan(e: &mut Enc, plan: &PhysicalPlan) {
-    let enc_common =
-        |e: &mut Enc, table: &str, filter, sample, aggs: &[crate::exec::AggSpec], row_range| {
-            e.str(table);
-            e.opt_expr(filter);
-            e.opt_sample(sample);
-            e.u64(aggs.len() as u64);
-            for a in aggs {
-                e.agg_spec(a);
-            }
-            match row_range {
-                None => e.u8(0),
-                Some((lo, hi)) => {
-                    e.u8(1);
-                    e.u64(lo as u64);
-                    e.u64(hi as u64);
-                }
-            }
-        };
-    match plan {
-        PhysicalPlan::Aggregate { query, row_range } => {
-            e.u8(0);
-            enc_common(
-                e,
-                &query.table,
-                &query.filter,
-                &query.sample,
-                &query.aggregates,
-                *row_range,
-            );
-            e.u64(query.group_by.len() as u64);
-            for g in &query.group_by {
-                e.str(g);
-            }
-        }
-        PhysicalPlan::GroupingSets { query, row_range } => {
+    let single = plan.sets.len() == 1;
+    e.u8(if single { 0 } else { 1 });
+    e.str(&plan.table);
+    e.opt_expr(&plan.filter);
+    e.opt_sample(&plan.sample);
+    e.u64(plan.aggregates.len() as u64);
+    for a in &plan.aggregates {
+        e.agg_spec(a);
+    }
+    match plan.row_range {
+        None => e.u8(0),
+        Some((lo, hi)) => {
             e.u8(1);
-            enc_common(
-                e,
-                &query.table,
-                &query.filter,
-                &query.sample,
-                &query.aggregates,
-                *row_range,
-            );
-            e.u64(query.sets.len() as u64);
-            for set in &query.sets {
-                e.u64(set.len() as u64);
-                for g in set {
-                    e.str(g);
-                }
-            }
+            e.u64(lo as u64);
+            e.u64(hi as u64);
+        }
+    }
+    if !single {
+        e.u64(plan.sets.len() as u64);
+    }
+    for set in &plan.sets {
+        e.u64(set.len() as u64);
+        for g in set {
+            e.str(g);
         }
     }
 }
@@ -857,43 +817,27 @@ fn decode_plan(d: &mut Dec, what: &str) -> DbResult<PhysicalPlan> {
         1 => Some((d.u64()? as usize, d.u64()? as usize)),
         t => return Err(corrupt(format!("{what}: bad row-range tag {t}"))),
     };
-    let str_list = |d: &mut Dec| -> DbResult<Vec<String>> {
-        let n = d.count(1)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(d.str()?);
-        }
-        Ok(v)
-    };
-    Ok(match tag {
-        0 => PhysicalPlan::Aggregate {
-            query: crate::exec::Query {
-                table,
-                filter,
-                group_by: str_list(d)?,
-                aggregates,
-                sample,
-            },
-            row_range,
-        },
-        1 => {
-            let nsets = d.count(1)?;
-            let mut sets = Vec::with_capacity(nsets);
-            for _ in 0..nsets {
-                sets.push(str_list(d)?);
-            }
-            PhysicalPlan::GroupingSets {
-                query: crate::exec::SetsQuery {
-                    table,
-                    filter,
-                    sets,
-                    aggregates,
-                    sample,
-                },
-                row_range,
-            }
-        }
+    let nsets = match tag {
+        0 => 1,
+        1 => d.count(1)?,
         t => return Err(corrupt(format!("{what}: bad plan tag {t}"))),
+    };
+    let mut sets = Vec::with_capacity(nsets);
+    for _ in 0..nsets {
+        let ncols = d.count(1)?;
+        let mut set = Vec::with_capacity(ncols);
+        for _ in 0..ncols {
+            set.push(d.str()?);
+        }
+        sets.push(set);
+    }
+    Ok(PhysicalPlan {
+        table,
+        filter,
+        sets,
+        aggregates,
+        sample,
+        row_range,
     })
 }
 
@@ -913,6 +857,65 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The `warm.plans` format is pinned byte for byte (a 1-set plan
+    /// under tag 0, a 3-set plan under tag 1; literal captured from the
+    /// first release that wrote the file), so spills already on disk
+    /// keep loading. A one-set grouping-sets node encodes exactly like
+    /// the aggregate it is.
+    #[test]
+    fn warm_plans_bytes_are_pinned() {
+        const PINNED: &str = "e8000000000000007e16ba0e0200000000000000000100000000000000740102\
+             0000010000000000000064010301000000000000007800020000000000000001\
+             0101000000000000006d01020100010000000000000064010301000000000000\
+             0079010600000000000000746172676574000000000001000000000000000100\
+             0000000000006401010000000000000074000001000000000000000201010000\
+             00000000006d0000010300000000000000090000000000000003000000000000\
+             0001000000000000000100000000000000640000000000000000020000000000\
+             0000010000000000000064010000000000000065";
+        let aggs = || {
+            vec![
+                AggSpec::new(AggFunc::Sum, "m")
+                    .with_filter(Expr::col("d").ne("y"))
+                    .with_alias("target"),
+                AggSpec::count_star(),
+            ]
+        };
+        let source = || LogicalPlan::scan("t").filter(Expr::col("d").eq("x"));
+        let one = source()
+            .aggregate(vec!["d".into()], aggs())
+            .lower()
+            .unwrap();
+        let one_as_sets = source()
+            .grouping_sets(vec![vec!["d".into()]], aggs())
+            .lower()
+            .unwrap();
+        let three = LogicalPlan::scan("t")
+            .grouping_sets(
+                vec![vec!["d".into()], vec![], vec!["d".into(), "e".into()]],
+                vec![AggSpec::new(AggFunc::Avg, "m")],
+            )
+            .sliced(3, 9)
+            .lower()
+            .unwrap();
+        assert_eq!(one.fingerprint(), one_as_sets.fingerprint());
+
+        let dir = tmp("plans-pinned");
+        let path = dir.join(WARM_PLANS_FILE);
+        let hex = |path: &Path| -> String {
+            let bytes = std::fs::read(path).unwrap();
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        };
+        write_plans(&path, &[three.clone(), one.clone()]).unwrap();
+        assert_eq!(hex(&path), PINNED);
+        write_plans(&path, &[one_as_sets, three.clone()]).unwrap();
+        assert_eq!(hex(&path), PINNED);
+
+        let got = read_plans(&path).unwrap();
+        let fps: Vec<String> = got.iter().map(|p| p.fingerprint()).collect();
+        assert_eq!(fps, vec![one.fingerprint(), three.fingerprint()]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -46,22 +46,6 @@ pub enum WalRecord {
         /// The appended rows.
         rows: Vec<Vec<Value>>,
     },
-    /// `register(table)` published `version` (a replacement if the name
-    /// existed), carrying the full table contents. The live catalog
-    /// checkpoints registrations directly instead of logging them
-    /// (contents are unbounded — a WAL record would be an arbitrary
-    /// memory and log-size spike), but replay keeps supporting the
-    /// record so a log that holds one is still recoverable.
-    Register {
-        /// Catalog version the registration published.
-        version: u64,
-        /// Table name.
-        table: String,
-        /// Column definitions.
-        schema: Vec<ColumnDef>,
-        /// All rows of the registered table.
-        rows: Vec<Vec<Value>>,
-    },
     /// `drop_table(table)` published `version`.
     Drop {
         /// Catalog version the drop published.
@@ -75,9 +59,7 @@ impl WalRecord {
     /// The catalog version this record published.
     pub fn version(&self) -> u64 {
         match self {
-            WalRecord::Append { version, .. }
-            | WalRecord::Register { version, .. }
-            | WalRecord::Drop { version, .. } => *version,
+            WalRecord::Append { version, .. } | WalRecord::Drop { version, .. } => *version,
         }
     }
 
@@ -89,23 +71,6 @@ impl WalRecord {
                 table,
                 rows,
             } => WalRecord::encode_append(*version, table, rows),
-            WalRecord::Register {
-                version,
-                table,
-                schema,
-                rows,
-            } => {
-                let mut e = Enc::new();
-                e.u8(1);
-                e.u64(*version);
-                e.str(table);
-                e.u64(schema.len() as u64);
-                for c in schema {
-                    encode_column_def(&mut e, c);
-                }
-                encode_rows(&mut e, rows);
-                e.into_bytes()
-            }
             WalRecord::Drop { version, table } => {
                 let mut e = Enc::new();
                 e.u8(2);
@@ -152,22 +117,6 @@ impl WalRecord {
                 WalRecord::Append {
                     version,
                     table,
-                    rows,
-                }
-            }
-            1 => {
-                let version = d.u64()?;
-                let table = d.str()?;
-                let ncols = d.count(1)?;
-                let mut schema = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    schema.push(decode_column_def(&mut d)?);
-                }
-                let rows = rows_dec(&mut d)?;
-                WalRecord::Register {
-                    version,
-                    table,
-                    schema,
                     rows,
                 }
             }
@@ -630,7 +579,6 @@ fn valid_section_ahead(bytes: &[u8], mut pos: usize) -> bool {
 mod tests {
     use super::*;
     use crate::error::DbError;
-    use crate::value::DataType;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -642,13 +590,9 @@ mod tests {
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
-            WalRecord::Register {
+            WalRecord::Append {
                 version: 1,
                 table: "t".into(),
-                schema: vec![
-                    ColumnDef::dimension("d", DataType::Str),
-                    ColumnDef::measure("m", DataType::Float64),
-                ],
                 rows: vec![vec!["a".into(), 1.5.into()]],
             },
             WalRecord::Append {
@@ -893,6 +837,20 @@ mod tests {
         // Torn header likewise.
         std::fs::write(&path, &header_frame(1)[..5]).unwrap();
         assert!(replay(&path, 1).unwrap().stale);
+    }
+
+    /// Tag 1 was reserved for a whole-table registration record that
+    /// nothing ever wrote (registrations checkpoint directly); a log
+    /// holding one is corrupt, not replayable and never a panic.
+    #[test]
+    fn unassigned_record_tag_is_typed_corrupt() {
+        let mut payload = sample_records()[0].encode();
+        assert_eq!(payload[0], 0, "append records carry tag 0");
+        payload[0] = 1;
+        match WalRecord::decode(&payload, "test") {
+            Err(DbError::Corrupt(msg)) => assert!(msg.contains("bad WAL record tag 1"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -101,5 +101,5 @@ fn executed_sql_matches_programmatic_query() {
     )
     .with_filter(Expr::col("n").ge(0));
     let programmatic = db.run(&q).unwrap();
-    assert_eq!(from_sql.result, programmatic.result);
+    assert_eq!(from_sql.results, programmatic.results);
 }

@@ -86,7 +86,7 @@ fn show_view(db: &Database, table: &str, filter: Option<Expr>, caption: &str) {
         q = q.with_filter(f);
     }
     let out = db.run(&q).expect("view query runs");
-    println!("{caption}\n{}", out.result.to_text());
+    println!("{caption}\n{}", out.results[0].to_text());
 }
 
 fn main() {

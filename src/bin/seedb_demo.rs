@@ -474,12 +474,7 @@ fn print_health(service: &Service) {
 /// Printed whenever sampling and a phased strategy are configured
 /// together: phased execution is exact and ignores the sample.
 fn warn_sample_ignored(cfg: &SeeDbConfig) {
-    if cfg.optimizer.sample.is_some()
-        && matches!(
-            cfg.execution,
-            ExecutionStrategy::Phased { .. } | ExecutionStrategy::PhasedParallel { .. }
-        )
-    {
+    if cfg.optimizer.sample.is_some() && cfg.execution.phased.is_some() {
         println!(
             "note: phased strategies are exact and ignore :sample \
              (sampling stays configured for the batch strategies)"

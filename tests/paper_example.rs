@@ -49,10 +49,10 @@ fn table_1_numbers_reproduce() {
     )
     .with_filter(Expr::col("product").eq("Laserwave"));
     let out = db.run(&q).unwrap();
-    assert_eq!(out.result.num_rows(), 4);
+    assert_eq!(out.results[0].num_rows(), 4);
     // Sorted by store label.
     let get = |store: &str| {
-        out.result
+        out.results[0]
             .rows
             .iter()
             .find(|r| r[0] == Value::from(store))

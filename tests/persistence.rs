@@ -379,9 +379,8 @@ fn reopened_catalog_answers_queries_bit_identically() {
     for plan in &plans {
         let a = db.execute_plan(plan).unwrap();
         let b = reopened.execute_plan(plan).unwrap();
-        assert_eq!(a.num_result_sets(), b.num_result_sets());
-        for s in 0..a.num_result_sets() {
-            let (ra, rb) = (a.result_set(s).unwrap(), b.result_set(s).unwrap());
+        assert_eq!(a.results.len(), b.results.len());
+        for (ra, rb) in a.results.iter().zip(&b.results) {
             assert_eq!(ra.columns, rb.columns);
             assert_eq!(ra.rows.len(), rb.rows.len());
             for (x, y) in ra.rows.iter().zip(&rb.rows) {

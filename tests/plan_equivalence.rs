@@ -10,6 +10,9 @@
 //! as the naive queries. The multi-group-by roll-up mode re-associates
 //! floating-point additions, so it is held to a 1e-9 tolerance instead.
 
+#[path = "../crates/memdb/tests/reference/mod.rs"]
+mod reference;
+
 use proptest::prelude::*;
 use seedb::core::optimizer::plan;
 use seedb::core::{
@@ -18,8 +21,8 @@ use seedb::core::{
 };
 use seedb::data::{Plant, SyntheticSpec};
 use seedb::memdb::{
-    run_batch, run_partitioned, AggFunc, AggSpec, Database, Expr, LogicalPlan, PlanOutput, Table,
-    Value,
+    run_batch, run_partitioned_partial, AggFunc, AggSpec, Database, DbError, Expr, LogicalPlan,
+    PlanOutput, SampleSpec, Table, Value,
 };
 
 /// Execute `views` under `cfg` through the full plan → lower → execute →
@@ -107,11 +110,10 @@ fn build_db(
 /// Bitwise comparison of two plan outputs: every result set, row, and
 /// value must match, with floats compared through `to_bits`.
 fn outputs_bitwise_eq(a: &PlanOutput, b: &PlanOutput) -> Result<(), String> {
-    if a.num_result_sets() != b.num_result_sets() {
+    if a.results.len() != b.results.len() {
         return Err("result-set count differs".to_string());
     }
-    for s in 0..a.num_result_sets() {
-        let (ra, rb) = (a.result_set(s).unwrap(), b.result_set(s).unwrap());
+    for (s, (ra, rb)) in a.results.iter().zip(&b.results).enumerate() {
         if ra.columns != rb.columns {
             return Err(format!("set {s}: columns differ"));
         }
@@ -136,12 +138,15 @@ fn outputs_bitwise_eq(a: &PlanOutput, b: &PlanOutput) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `run_partitioned` — one plan split across row partitions with
-    /// mergeable partial aggregate states — is **byte-identical** to
-    /// single-threaded `execute` for aggregate and grouping-sets plans,
-    /// for every worker count and partition shape. (Float sums are
-    /// exact and order-independent in the kernel, so re-associating
-    /// them across partitions cannot perturb a single bit.)
+    /// One plan split across row partitions with mergeable partial
+    /// aggregate states (`run_partitioned_partial(.., w).finalize()`) is
+    /// **byte-identical** to the single-partition run (`w = 1`) for
+    /// aggregate and grouping-sets plans, for every worker count and
+    /// partition shape. (Float sums are exact and order-independent in
+    /// the kernel, so re-associating them across partitions cannot
+    /// perturb a single bit.) Both sides of that comparison run the one
+    /// scan path, so the partitioned output is additionally held to the
+    /// naive row-at-a-time evaluator, which shares no code with it.
     #[test]
     fn partitioned_execution_matches_single_threaded_bitwise(
         seed in 0u64..10_000,
@@ -149,6 +154,9 @@ proptest! {
         card in 2usize..10,
         measures in 1usize..3,
         workers in 2usize..9,
+        data in reference::data_strategy(),
+        func in proptest::sample::select(AggFunc::all().to_vec()),
+        limit in 0i64..5,
     ) {
         let (db, analyst) = build_db(500, dims, card, measures, seed);
         let table = db.table(&analyst.table).unwrap();
@@ -180,19 +188,52 @@ proptest! {
             );
         let sliced = aggregate.clone().sliced(71, 433);
 
+        let run = |table: &Table, plan: &LogicalPlan, w: usize| {
+            run_partitioned_partial(table, &plan.lower().unwrap(), w)
+                .unwrap()
+                .finalize(table)
+                .unwrap()
+        };
         for (name, plan) in [
             ("aggregate", &aggregate),
             ("grouping-sets", &grouping_sets),
             ("sliced", &sliced),
         ] {
-            let single = plan.lower().unwrap().execute(&table).unwrap();
-            let partitioned = run_partitioned(&db, plan, workers).unwrap();
+            let single = run(&table, plan, 1);
+            let partitioned = run(&table, plan, workers);
             if let Err(msg) = outputs_bitwise_eq(&single, &partitioned) {
                 return Err(TestCaseError::fail(format!(
                     "[{name}, {workers} workers] {msg}"
                 )));
             }
         }
+
+        // The independent oracle: a filtered two-column group-by and a
+        // per-aggregate-predicate group-by on the dictionary fast path.
+        let ref_table = reference::build_table(&data);
+        let spec = match func {
+            AggFunc::Count => AggSpec::count_star(),
+            f => AggSpec::new(f, "m"),
+        };
+        let where_plan = LogicalPlan::scan("t")
+            .filter(Expr::col("d3").lt(limit))
+            .aggregate(vec!["d1".into(), "d3".into()], vec![spec.clone()]);
+        let out = run(&ref_table, &where_plan, workers);
+        reference::approx_eq(
+            &reference::result_to_map(&out.results[0], 2),
+            &reference::reference_aggregate(&data, &[0, 2], func, None, Some(limit)),
+        )
+        .map_err(TestCaseError::fail)?;
+        let predicate_plan = LogicalPlan::scan("t").aggregate(
+            vec!["d2".into()],
+            vec![spec.with_filter(Expr::col("d2").eq("x"))],
+        );
+        let out = run(&ref_table, &predicate_plan, workers);
+        reference::approx_eq(
+            &reference::result_to_map(&out.results[0], 1),
+            &reference::reference_aggregate(&data, &[1], func, Some("x"), None),
+        )
+        .map_err(TestCaseError::fail)?;
     }
 
     /// Combined target/comparison, combined aggregates, and grouping-set
@@ -515,4 +556,39 @@ proptest! {
             );
         }
     }
+}
+
+/// A sampled plan runs through the one scan path as a single partition
+/// over its whole range; splitting it is refused, because per-partition
+/// samples do not compose.
+#[test]
+fn sampled_plans_execute_whole_and_refuse_to_split() {
+    let (db, analyst) = build_db(500, 3, 5, 1, 42);
+    let table = db.table(&analyst.table).unwrap();
+    let plan = LogicalPlan::scan(&analyst.table)
+        .aggregate(vec!["d1".into()], vec![AggSpec::new(AggFunc::Sum, "m0")])
+        .sliced(50, 450)
+        .sampled(Some(SampleSpec::Bernoulli {
+            fraction: 0.5,
+            seed: 7,
+        }))
+        .lower()
+        .unwrap();
+    let direct = plan.execute(&table).unwrap();
+    assert!(direct.stats.rows_scanned > 0 && direct.stats.rows_scanned < 400);
+    let whole = run_partitioned_partial(&table, &plan, 1)
+        .unwrap()
+        .finalize(&table)
+        .unwrap();
+    outputs_bitwise_eq(&direct, &whole).unwrap();
+    assert_eq!(direct.stats.rows_scanned, whole.stats.rows_scanned);
+
+    assert!(matches!(
+        run_partitioned_partial(&table, &plan, 4),
+        Err(DbError::InvalidQuery(_))
+    ));
+    assert!(matches!(
+        plan.execute_partial(&table, (50, 250)),
+        Err(DbError::InvalidQuery(_))
+    ));
 }

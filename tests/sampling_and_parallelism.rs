@@ -116,7 +116,7 @@ fn parallelism_changes_latency_not_results() {
     assert_eq!(seq.cost.queries, par.cost.queries);
 }
 
-/// Intra-plan parallelism (PhasedParallel): worker count must be
+/// Intra-plan parallelism (phased-parallel): worker count must be
 /// invisible in the outcome — identical utilities (to the bit), pruned
 /// sets, and per-phase survivor counts for workers ∈ {1, 4}.
 #[test]

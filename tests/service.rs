@@ -153,8 +153,13 @@ fn service_results_match_plain_engine() {
         let cold = engine.recommend(&query).unwrap();
         // Both the cold (miss/batch) and warm (hit) service paths must
         // be byte-identical to the plain engine.
+        let served = service.recommend(&query).unwrap();
+        assert_recs_identical(&cold, &served);
         assert_recs_identical(&cold, &service.recommend(&query).unwrap());
-        assert_recs_identical(&cold, &service.recommend(&query).unwrap());
+        // A cold request's scans cost the same whichever layer ran them.
+        assert!(served.cost.groups_emitted > 0);
+        assert_eq!(served.cost.groups_emitted, cold.cost.groups_emitted);
+        assert_eq!(served.cost.rows_scanned, cold.cost.rows_scanned);
     }
 }
 
