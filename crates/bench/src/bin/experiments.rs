@@ -373,7 +373,7 @@ fn exp_s2e_sampling() {
     );
 }
 
-/// S2f — parallelism: total latency down, per-query time up.
+/// S2f — parallel execution: total latency down, per-query time up.
 fn exp_s2f_parallelism() {
     header(
         "S2f",

@@ -13,19 +13,21 @@ use crate::view::FunctionSet;
 /// early-termination axis of §3.3, selectable per engine (and from the
 /// demo CLI via `:strategy` / `:workers`).
 ///
-/// `workers` is the thread count: the batch executor fans independent
-/// plans out across that many threads ([`memdb::run_batch`]), phased
-/// execution splits every phase slice across that many row partitions
-/// whose partial aggregate states merge deterministically — outcomes
-/// are byte-identical for every worker count.
+/// `workers` is the thread count. The batch executor
+/// ([`memdb::run_batch`]) fans whole plans out across that many threads,
+/// all against the one table snapshot the request resolved for its
+/// metadata; phased execution splits every phase slice across that many
+/// row partitions whose partial aggregate states merge
+/// deterministically — outcomes are byte-identical for every worker
+/// count.
 ///
 /// With `phased` set, the batch executor is traded for
 /// [`crate::phased::run_phased`]: the table is processed in `phases`
 /// contiguous slices and views whose utility confidence interval falls
 /// below the running top-k are discarded early (survivors still end
-/// with exact full-table utilities). Phased execution runs against the
-/// table directly, so [`crate::engine::Recommendation::cost`] reflects
-/// only catalog-mediated work (zero for a pure phased run). It is
+/// with exact full-table utilities). Phased execution records no cost,
+/// so [`crate::engine::Recommendation::cost`] is zero for a pure phased
+/// run. It is
 /// *exact by construction* and does not compose with scan sampling, so
 /// a configured `optimizer.sample` is ignored while `phased` is set
 /// (the demo CLI prints a notice when both are).
@@ -418,7 +420,7 @@ mod tests {
         assert!(rec.pruning.variance && !basic.pruning.variance);
         assert!(rec.optimizer.combine_target_comparison);
         assert!(!basic.optimizer.combine_target_comparison);
-        assert_eq!(basic.optimizer.parallelism, 1);
+        assert_eq!(basic.execution.workers(), 1);
     }
 
     #[test]

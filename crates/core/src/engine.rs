@@ -10,7 +10,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use memdb::{
     run_batch, CostSnapshot, Database, DbError, DbResult, LogicalPlan, PlanOutput, Table, Value,
@@ -26,7 +26,7 @@ use crate::pruning::{prune, PrunedView};
 use crate::querygen::AnalystQuery;
 use crate::view::enumerate_views;
 
-/// Wall-clock time spent in each backend phase.
+/// Time spent in each backend phase, per the [`Database::obs`] clock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Metadata collection (stats + correlations).
@@ -153,21 +153,29 @@ impl SeeDb {
     /// collection failures. Individual view-query failures are captured
     /// in [`Recommendation::errors`].
     pub fn recommend(&self, analyst: &AnalystQuery) -> DbResult<Recommendation> {
-        self.recommend_via(analyst, &Span::none(), |plans, _span| {
-            run_batch(&self.db, plans, self.config.execution.workers()).outputs
+        self.recommend_via(analyst, &Span::none(), |table, plans, _span| {
+            let outputs = run_batch(table, plans, self.config.execution.workers());
+            for output in outputs.iter().flatten() {
+                self.db.record_stats(&output.stats);
+            }
+            outputs
         })
     }
 
     /// [`SeeDb::recommend`] with a pluggable plan executor — the hook the
     /// serving layer ([`crate::service::Service`]) uses to route the
     /// batch strategies' planned queries through its shared
-    /// partial-aggregate cache. `execute` receives the planned
-    /// [`LogicalPlan`]s and must return one outcome per plan, in input
-    /// order, byte-identical to what [`memdb::run_batch`] would produce.
-    /// The phased strategies execute against the table directly and
-    /// never call `execute`. Each pipeline phase records a child of
-    /// `span` (pass [`Span::none`] when not tracing); `execute` receives
-    /// the `execute` phase's span to hang scan spans under.
+    /// partial-aggregate cache. The table is resolved once: metadata,
+    /// pruning and planning read that snapshot, and `execute` receives
+    /// it with the planned [`LogicalPlan`]s. `execute` must run every
+    /// plan against the snapshot (re-resolving by name could pair one
+    /// version's statistics with another's scan), record the cost of its
+    /// work, and return one outcome per plan, in input order,
+    /// byte-identical to [`memdb::run_batch`] on the snapshot. The phased
+    /// strategies run on the snapshot directly and never call `execute`.
+    /// Each pipeline phase records a child of `span` (pass
+    /// [`Span::none`] when not tracing); `execute` receives the
+    /// `execute` phase's span to hang scan spans under.
     pub(crate) fn recommend_via<F>(
         &self,
         analyst: &AnalystQuery,
@@ -175,11 +183,13 @@ impl SeeDb {
         execute: F,
     ) -> DbResult<Recommendation>
     where
-        F: FnOnce(&[LogicalPlan], &Span) -> Vec<DbResult<PlanOutput>>,
+        F: FnOnce(&Arc<Table>, &[LogicalPlan], &Span) -> Vec<DbResult<PlanOutput>>,
     {
         let table = self.db.table(&analyst.table)?;
         let cost_before = self.db.cost();
         let mut timings = PhaseTimings::default();
+        let obs = self.db.obs();
+        let since = |t0: u64| Duration::from_nanos(obs.now_ns().saturating_sub(t0));
 
         // Record this analyst query in the workload log (it arrives
         // before metadata collection so it is visible to pruning of
@@ -190,15 +200,15 @@ impl SeeDb {
             .record(&analyst.table, analyst.referenced_columns());
 
         // Phase 1: metadata.
-        let t0 = Instant::now();
+        let t0 = obs.now_ns();
         let metadata_span = span.child("metadata");
         let need_corr = self.config.compute_correlations && self.config.pruning.correlation;
         let metadata = self.collector.collect(&table, need_corr)?;
         drop(metadata_span);
-        timings.metadata = t0.elapsed();
+        timings.metadata = since(t0);
 
         // Phase 2: enumerate + prune.
-        let t0 = Instant::now();
+        let t0 = obs.now_ns();
         let prune_span = span.child("prune");
         let candidates = enumerate_views(table.schema(), &self.config.functions);
         let num_candidates = candidates.len();
@@ -227,7 +237,7 @@ impl SeeDb {
         prune_span.attr("candidates", num_candidates);
         prune_span.attr("kept", outcome.kept.len());
         drop(prune_span);
-        timings.pruning = t0.elapsed();
+        timings.pruning = since(t0);
 
         // Phases 3–5 depend on the execution strategy: the batch
         // strategies plan shared-scan queries and stream their outputs
@@ -253,7 +263,7 @@ impl SeeDb {
                     }
                 }
             }
-            let t0 = Instant::now();
+            let t0 = obs.now_ns();
             let phased_span = span.child("phased_execute");
             let phased = run_phased_with_group_counts(
                 &table,
@@ -264,10 +274,10 @@ impl SeeDb {
             )?;
             phased_span.attr("plans", phased.plans_executed);
             drop(phased_span);
-            timings.execution = t0.elapsed();
-            let t0 = Instant::now();
+            timings.execution = since(t0);
+            let t0 = obs.now_ns();
             let low_utility = low_utility_views(&phased.survivors, self.config.low_utility_views);
-            timings.processing = t0.elapsed();
+            timings.processing = since(t0);
             return Ok(Recommendation {
                 views: phased.views,
                 low_utility,
@@ -284,24 +294,24 @@ impl SeeDb {
         }
 
         // Phase 3: plan.
-        let t0 = Instant::now();
+        let t0 = obs.now_ns();
         let optimize_span = span.child("optimize");
         let exec_plan = plan(&outcome.kept, analyst, &metadata, &self.config.optimizer);
         optimize_span.attr("queries", exec_plan.num_queries());
         drop(optimize_span);
-        timings.planning = t0.elapsed();
+        timings.planning = since(t0);
 
         // Phase 4: execute.
-        let t0 = Instant::now();
+        let t0 = obs.now_ns();
         let execute_span = span.child("execute");
         execute_span.attr("plans", exec_plan.num_queries());
         let plans: Vec<LogicalPlan> = exec_plan.queries.iter().map(|q| q.plan.clone()).collect();
-        let outputs = execute(&plans, &execute_span);
+        let outputs = execute(&table, &plans, &execute_span);
         drop(execute_span);
-        timings.execution = t0.elapsed();
+        timings.execution = since(t0);
 
         // Phase 5: process (streaming over completed queries).
-        let t0 = Instant::now();
+        let t0 = obs.now_ns();
         let process_span = span.child("process");
         let mut processor = Processor::new(outcome.kept.clone(), self.config.metric);
         let mut errors = Vec::new();
@@ -316,7 +326,7 @@ impl SeeDb {
         let low_utility = low_utility_views(&all, self.config.low_utility_views);
         process_span.attr("views", all.len());
         drop(process_span);
-        timings.processing = t0.elapsed();
+        timings.processing = since(t0);
 
         Ok(Recommendation {
             views,

@@ -14,9 +14,9 @@
 //! [`memdb::Database`] cost recording fires, so the report's scan
 //! totals equal the `exec.*` registry deltas over the request by
 //! construction ([`ExplainReport::reconciles`] asserts it, and the
-//! demo CLI's `:explain` prints both). `elapsed` and `merge_ns` are
-//! wall/clock time and therefore excluded from [`ExplainReport::render`]
-//! totals' determinism guarantee only where noted — on a fully warm
+//! demo CLI's `:explain` prints both). No operator carries wall-clock
+//! time; `merge_ns` is read from the injected clock and is 0 for
+//! unpartitioned or cache-served operators, so on a fully warm
 //! (all-hit) run the rendered report is byte-identical across repeats.
 
 use memdb::{CacheOutcome, CostSnapshot, ExecStats};
@@ -65,10 +65,9 @@ impl ExplainReport {
     }
 
     /// Render the report as a fixed-width table. Deterministic for
-    /// deterministic stats: wall-clock `elapsed` is deliberately
-    /// excluded and `merge_ns` is 0 for unpartitioned or cache-served
-    /// operators, so a fully warm (all-hit) run renders byte-identical
-    /// across repeats.
+    /// deterministic stats: `merge_ns` is 0 for unpartitioned or
+    /// cache-served operators, so a fully warm (all-hit) run renders
+    /// byte-identical across repeats.
     pub fn render(&self) -> String {
         let mut rows: Vec<[String; 7]> = vec![[
             "operator".into(),
@@ -156,7 +155,6 @@ mod tests {
                         partitions: 2,
                         merge_ns: 10,
                         cache: CacheOutcome::Miss,
-                        ..ExecStats::default()
                     },
                 },
                 ExplainOp {
@@ -186,18 +184,13 @@ mod tests {
         let report = ExplainReport {
             ops: vec![ExplainOp {
                 label: "cache_hit".into(),
-                stats: ExecStats {
-                    elapsed: std::time::Duration::from_millis(5),
-                    ..cache_only_stats(CacheOutcome::Hit)
-                },
+                stats: cache_only_stats(CacheOutcome::Hit),
             }],
             cost_delta: CostSnapshot::default(),
         };
         let a = report.render();
-        let mut other = report.clone();
-        // A different wall-clock elapsed must not change the bytes.
-        other.ops[0].stats.elapsed = std::time::Duration::from_millis(99);
-        assert_eq!(a, other.render());
+        assert_eq!(a, report.render());
+        assert_eq!(a, report.clone().render());
         assert!(a.contains("cache_hit"));
         assert!(a.contains("hit"));
         assert!(a.contains("reconciles: true"));

@@ -21,7 +21,8 @@
 //! * **Sampling** — run every view query against a sample
 //!   ([`memdb::SampleSpec`]).
 //! * **Parallel query execution** — issue the planned queries over a
-//!   worker pool.
+//!   worker pool ([`memdb::run_batch`]; the worker count is
+//!   [`crate::config::SeeDbConfig::execution`], not an optimizer knob).
 
 use std::collections::HashMap;
 
@@ -66,17 +67,11 @@ pub struct OptimizerConfig {
     pub memory_budget_groups: u64,
     /// Optional sampling applied to every planned query.
     pub sample: Option<SampleSpec>,
-    /// Suggested worker threads for callers executing the resulting
-    /// [`ExecutionPlan`] directly via [`memdb::run_batch`]
-    /// (1 = sequential). **Not consulted by the engine**: the worker
-    /// count of [`crate::engine::SeeDb::recommend`] comes from
-    /// [`crate::config::SeeDbConfig::execution`].
-    pub parallelism: usize,
 }
 
 impl OptimizerConfig {
     /// The paper's Basic Framework: every view query runs independently,
-    /// target and comparison separately, sequentially, unsampled.
+    /// target and comparison separately, unsampled.
     pub fn basic() -> Self {
         OptimizerConfig {
             combine_target_comparison: false,
@@ -84,12 +79,11 @@ impl OptimizerConfig {
             group_by_combining: GroupByCombining::Off,
             memory_budget_groups: u64::MAX,
             sample: None,
-            parallelism: 1,
         }
     }
 
     /// All sharing optimizations on (no sampling — that trades accuracy
-    /// and is opt-in), grouping-sets combining, parallel execution.
+    /// and is opt-in), grouping-sets combining.
     pub fn all_optimizations() -> Self {
         OptimizerConfig {
             combine_target_comparison: true,
@@ -97,7 +91,6 @@ impl OptimizerConfig {
             group_by_combining: GroupByCombining::GroupingSets,
             memory_budget_groups: 100_000,
             sample: None,
-            parallelism: num_workers(),
         }
     }
 
@@ -112,14 +105,6 @@ impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig::all_optimizations()
     }
-}
-
-/// A sensible default worker count.
-pub fn num_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16)
 }
 
 /// How a view's aggregate value is recovered from a planned query's
@@ -185,10 +170,6 @@ pub struct ExecutionPlan {
     pub queries: Vec<PlannedQuery>,
     /// Number of candidate views covered.
     pub num_views: usize,
-    /// Suggested worker threads for direct [`memdb::run_batch`] callers
-    /// (the engine takes its worker count from
-    /// [`crate::config::SeeDbConfig::execution`] instead).
-    pub parallelism: usize,
 }
 
 impl ExecutionPlan {
@@ -303,7 +284,6 @@ pub fn plan(
     ExecutionPlan {
         queries,
         num_views: views.len(),
-        parallelism: config.parallelism.max(1),
     }
 }
 

@@ -38,7 +38,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use memdb::{
     run_partitioned_partial, AggFunc, AggSpec, AggState, ColumnStats, DbError, DbResult,
@@ -115,8 +114,6 @@ pub struct PhasedOutcome {
     pub view_phases: u64,
     /// Shared-scan plans executed (one per non-empty phase).
     pub plans_executed: usize,
-    /// Wall time.
-    pub elapsed: Duration,
 }
 
 impl PhasedOutcome {
@@ -234,7 +231,6 @@ pub fn run_phased_with_group_counts(
     config: &PhasedConfig,
     dim_group_counts: &HashMap<String, usize>,
 ) -> DbResult<PhasedOutcome> {
-    let start = Instant::now();
     let phases = config.phases.max(1);
     let workers = config.workers.max(1);
     let n_rows = table.num_rows();
@@ -429,7 +425,6 @@ pub fn run_phased_with_group_counts(
         survivors_per_phase,
         view_phases,
         plans_executed,
-        elapsed: start.elapsed(),
     })
 }
 

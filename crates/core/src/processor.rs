@@ -304,9 +304,9 @@ mod tests {
         let analyst = AnalystQuery::new("sales", Some(Expr::col("product").eq("Laserwave")));
         let p = plan(&views, &analyst, &md, cfg);
         let plans: Vec<memdb::LogicalPlan> = p.queries.iter().map(|q| q.plan.clone()).collect();
-        let batch = run_batch(db, &plans, 1);
+        let outputs = run_batch(&t, &plans, 1);
         let mut proc = Processor::new(views, Metric::EarthMovers);
-        for (pq, out) in p.queries.iter().zip(batch.outputs) {
+        for (pq, out) in p.queries.iter().zip(outputs) {
             proc.consume(pq, &out.unwrap()).unwrap();
         }
         assert_eq!(proc.complete_views(), proc.target.len());
@@ -346,15 +346,10 @@ mod tests {
                 c.combine_aggregates = true;
                 c
             },
-            {
-                let mut c = OptimizerConfig::all_optimizations();
-                c.parallelism = 1;
-                c
-            },
+            OptimizerConfig::all_optimizations(),
             {
                 let mut c = OptimizerConfig::all_optimizations();
                 c.group_by_combining = GroupByCombining::MultiGroupBy;
-                c.parallelism = 1;
                 c
             },
         ];

@@ -759,9 +759,11 @@ impl Service {
             root.attr("session", id);
         }
         let start_ns = inner.obs.now_ns();
-        let result = inner.engine.recommend_via(analyst, &root, |plans, span| {
-            inner.execute_plans(plans, span)
-        });
+        let result = inner
+            .engine
+            .recommend_via(analyst, &root, |table, plans, span| {
+                inner.execute_plans(table, plans, span)
+            });
         inner
             .recommend_ns
             .record(inner.obs.now_ns().saturating_sub(start_ns));
@@ -1172,8 +1174,19 @@ impl ServiceInner {
 
     /// The cache/batch-aware executor handed to the engine: one outcome
     /// per plan, in input order, byte-identical to a cold
-    /// [`memdb::run_batch`].
-    fn execute_plans(&self, plans: &[LogicalPlan], span: &Span) -> Vec<DbResult<PlanOutput>> {
+    /// [`memdb::run_batch`] on `table`.
+    ///
+    /// `table` is the snapshot the engine resolved for the request's
+    /// metadata, and every plan — cache probe, refresh, batched scan or
+    /// sampled bypass — runs against exactly that version, so a request
+    /// is never a torn mix of two versions even if an append publishes
+    /// mid-request.
+    fn execute_plans(
+        &self,
+        table: &Arc<Table>,
+        plans: &[LogicalPlan],
+        span: &Span,
+    ) -> Vec<DbResult<PlanOutput>> {
         let mut out: Vec<Option<DbResult<PlanOutput>>> = Vec::with_capacity(plans.len());
         out.resize_with(plans.len(), || None);
         // Slot indices come straight from `enumerate` over `plans`, so
@@ -1189,16 +1202,7 @@ impl ServiceInner {
             index: usize,
             plan: BatchPlan,
         }
-        // All plans of one request target one table, but group by
-        // (name, version) anyway so the executor stays correct for
-        // arbitrary plan sets — and so plans that straddle a concurrent
-        // re-registration never share one table snapshot.
-        let mut misses: HashMap<(String, u64), (Arc<Table>, Vec<Miss>)> = HashMap::new();
-        // One snapshot per table name for the WHOLE request: every plan
-        // of this request executes against the same table version even
-        // if an append/replacement publishes mid-loop — a request is
-        // never a torn mix of two versions.
-        let mut snapshots: HashMap<String, Arc<Table>> = HashMap::new();
+        let mut misses: Vec<Miss> = Vec::new();
 
         let probe = span.child("cache_probe");
         for (i, plan) in plans.iter().enumerate() {
@@ -1213,26 +1217,14 @@ impl ServiceInner {
             // not compose, and a cached sample would hide resampling).
             if phys.sample.is_some() {
                 StatCounters::add(&self.stats.bypasses, 1);
-                let result = self.engine.database().run_physical(&phys);
+                let result = phys.execute(table);
                 if let Ok(o) = &result {
+                    self.engine.database().record_stats(&o.stats);
                     self.record_op("bypass_scan", o.stats);
                 }
                 fill(&mut out, i, result);
                 continue;
             }
-            let table = match snapshots.get(&phys.table) {
-                Some(t) => t.clone(),
-                None => match self.engine.database().table(&phys.table) {
-                    Ok(t) => {
-                        snapshots.insert(phys.table.clone(), t.clone());
-                        t
-                    }
-                    Err(e) => {
-                        fill(&mut out, i, Err(e));
-                        continue;
-                    }
-                },
-            };
             let fingerprint = phys.fingerprint();
             let lookup = self
                 .cache
@@ -1253,12 +1245,12 @@ impl ServiceInner {
                         // delta rows and merging — byte-identical to a
                         // cold run at the current version.
                         if let RefreshDecision::Incremental { delta } =
-                            self.config.refresh.decide(&table, version)
+                            self.config.refresh.decide(table, version)
                         {
                             if let Some(output) = self.refresh_into_cache(
                                 &fingerprint,
                                 &phys,
-                                &table,
+                                table,
                                 &state,
                                 delta,
                                 &probe,
@@ -1303,7 +1295,7 @@ impl ServiceInner {
                             .finalize_and_cache(
                                 &fingerprint,
                                 source_key(&phys),
-                                &table,
+                                table,
                                 &phys,
                                 Arc::new(projected),
                             )
@@ -1316,38 +1308,28 @@ impl ServiceInner {
                         continue;
                     }
                     StatCounters::add(&self.stats.misses, 1);
-                    misses
-                        .entry((phys.table.clone(), table.version()))
-                        .or_insert_with(|| (table, Vec::new()))
-                        .1
-                        .push(Miss {
-                            index: i,
-                            plan: BatchPlan { fingerprint, phys },
-                        });
+                    misses.push(Miss {
+                        index: i,
+                        plan: BatchPlan { fingerprint, phys },
+                    });
                 }
             }
         }
         probe.attr("plans", plans.len());
         drop(probe);
 
-        for (_, (table, table_misses)) in misses {
-            let registered: Vec<BatchPlan> = {
-                let mut seen: Vec<&str> = Vec::new();
-                table_misses
+        if !misses.is_empty() {
+            let mut registered: Vec<BatchPlan> = Vec::new();
+            for m in &misses {
+                if !registered
                     .iter()
-                    .filter(|m| {
-                        if seen.contains(&m.plan.fingerprint.as_str()) {
-                            false
-                        } else {
-                            seen.push(&m.plan.fingerprint);
-                            true
-                        }
-                    })
-                    .map(|m| m.plan.clone())
-                    .collect()
-            };
-            let results = self.batcher.submit(self, &table, &registered, span);
-            for m in table_misses {
+                    .any(|p| p.fingerprint == m.plan.fingerprint)
+                {
+                    registered.push(m.plan.clone());
+                }
+            }
+            let results = self.batcher.submit(self, table, &registered, span);
+            for m in misses {
                 let result = results
                     .get(&m.plan.fingerprint)
                     .cloned()

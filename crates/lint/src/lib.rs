@@ -18,7 +18,8 @@
 //!   partial order (`crates/lint/lock-order.toml`), and the service
 //!   cache lock is never held across plan execution;
 //! * `no-wallclock-in-plan` — `Instant`/`SystemTime` are banned from
-//!   plan/fingerprint/format code (fingerprints must be deterministic);
+//!   `crates/memdb/src` and `crates/core/src` (fingerprints must be
+//!   deterministic; timings come from the injected clock);
 //! * `fsync-before-rename` — every rename-publish in the store is
 //!   preceded by `sync_all`/`sync_data` in the same function;
 //! * `metrics-naming` — metric names registered with the observability

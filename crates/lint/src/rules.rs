@@ -37,10 +37,9 @@ fn in_lock_scope(rel: &str) -> bool {
 }
 
 fn in_wallclock_scope(rel: &str) -> bool {
-    rel == "crates/memdb/src/plan.rs"
-        || rel.starts_with("crates/memdb/src/plan/")
-        || rel == "crates/memdb/src/store/format.rs"
-        || rel == "crates/core/src/service.rs"
+    // Engine and database time themselves on the injected obs clock.
+    rel.starts_with("crates/memdb/src/")
+        || rel.starts_with("crates/core/src/")
         // The soak harness's workload decisions must replay
         // byte-identically from the seed: wall clock is confined to the
         // latency-measurement shim, everything else runs on virtual
@@ -372,9 +371,10 @@ fn matching_paren(toks: &[Token], open: usize) -> Option<usize> {
     None
 }
 
-/// `no-wallclock-in-plan`: plan, fingerprint, and on-disk format code
-/// must not read wall clocks — fingerprints and encodings have to be
-/// deterministic across runs and machines.
+/// `no-wallclock-in-plan`: the database and engine crates (plan,
+/// fingerprint, on-disk format, executor, pipeline) must not read wall
+/// clocks — fingerprints and encodings have to be deterministic across
+/// runs and machines, and timings come from the injected clock.
 pub fn no_wallclock_in_plan(f: &SourceFile) -> Vec<Finding> {
     if !in_wallclock_scope(&f.rel) {
         return Vec::new();
@@ -390,8 +390,9 @@ pub fn no_wallclock_in_plan(f: &SourceFile) -> Vec<Finding> {
                 f,
                 t.line,
                 format!(
-                    "{} in plan/fingerprint/format code — outputs must be deterministic, \
-                     derive ordering from versions or logical ticks",
+                    "{} in engine/plan/format code — outputs must be deterministic, \
+                     derive ordering from versions or logical ticks and time from the \
+                     injected clock",
                     t.text
                 ),
             ));
@@ -625,7 +626,13 @@ mod tests {
     fn wallclock_fires_in_plan_scope_only() {
         let f = SourceFile::parse("crates/memdb/src/plan.rs", "use std::time::Instant;\n");
         assert_eq!(no_wallclock_in_plan(&f).len(), 1);
+        // The whole engine and database are in scope, kernel included.
         let f = SourceFile::parse("crates/memdb/src/exec/mod.rs", "use std::time::Instant;\n");
+        assert_eq!(no_wallclock_in_plan(&f).len(), 1);
+        let f = SourceFile::parse("crates/core/src/engine.rs", "let t = Instant::now();\n");
+        assert_eq!(no_wallclock_in_plan(&f).len(), 1);
+        // Crates outside the engine, such as dataset generators, are not.
+        let f = SourceFile::parse("crates/data/src/synthetic.rs", "use std::time::Instant;\n");
         assert!(no_wallclock_in_plan(&f).is_empty());
         // Soak workload code may not read wall clocks — except the
         // latency shim, which exists to hold that single exemption.

@@ -14,7 +14,7 @@ use crate::cost::{CostCounters, CostSnapshot};
 use crate::error::{DbError, DbResult};
 use crate::exec::Query;
 use crate::metrics::StoreMetrics;
-use crate::plan::{LogicalPlan, PhysicalPlan, PlanOutput};
+use crate::plan::{PhysicalPlan, PlanOutput};
 use crate::store::{self, DurabilityConfig, DurabilityState, DurabilitySummary, WalRecord};
 use crate::sync::{MutexExt, RwLockExt};
 use crate::table::Table;
@@ -464,15 +464,6 @@ impl Database {
         self.run_physical(&q.plan())
     }
 
-    /// Lower and execute a [`LogicalPlan`], recording its cost.
-    ///
-    /// # Errors
-    /// Malformed plans (`InvalidQuery`), unknown table/columns, type
-    /// errors.
-    pub fn execute_plan(&self, plan: &LogicalPlan) -> DbResult<PlanOutput> {
-        self.run_physical(&plan.lower()?)
-    }
-
     /// Execute an already-lowered [`PhysicalPlan`], recording its cost.
     ///
     /// # Errors
@@ -492,9 +483,9 @@ impl Database {
         self.run(&crate::sql::parse_query(sql)?)
     }
 
-    /// Record externally executed work as one query (partitioned
-    /// execution and serving-layer batch scans merge stats themselves
-    /// before reporting them once).
+    /// Record externally executed work as one query ([`crate::run_batch`]
+    /// outputs, and partitioned or serving-layer batch scans, which merge
+    /// stats themselves before reporting them once).
     pub fn record_stats(&self, stats: &crate::exec::ExecStats) {
         self.counters.record(stats);
     }
@@ -514,6 +505,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::exec::{AggFunc, AggSpec};
+    use crate::plan::LogicalPlan;
     use crate::schema::{ColumnDef, Schema};
     use crate::value::DataType;
 

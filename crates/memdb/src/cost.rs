@@ -93,14 +93,12 @@ impl CostSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn stats(rows: u64, scans: u64, groups: u64) -> ExecStats {
         ExecStats {
             rows_scanned: rows,
             table_scans: scans,
             groups_emitted: groups,
-            elapsed: Duration::ZERO,
             ..ExecStats::default()
         }
     }

@@ -12,8 +12,6 @@
 pub mod aggregate;
 pub mod exactsum;
 
-use std::time::{Duration, Instant};
-
 pub use aggregate::{agg_output_type, AggFunc, AggRequest, AggState, Grouped};
 pub use exactsum::ExactSum;
 
@@ -314,8 +312,6 @@ pub struct ExecStats {
     pub merge_ns: u64,
     /// Cache probe outcome for the request this execution served.
     pub cache: CacheOutcome,
-    /// Wall-clock time.
-    pub elapsed: Duration,
 }
 
 impl ExecStats {
@@ -333,7 +329,6 @@ impl ExecStats {
         if self.cache == CacheOutcome::Uncached {
             self.cache = other.cache;
         }
-        self.elapsed += other.elapsed;
     }
 }
 
@@ -421,7 +416,6 @@ pub(crate) fn scan_partial(
     plan: &PhysicalPlan,
     range: (usize, usize),
 ) -> DbResult<(Vec<aggregate::SetAcc>, ExecStats)> {
-    let start = Instant::now();
     let sets: Vec<Vec<usize>> = plan
         .sets
         .iter()
@@ -440,7 +434,6 @@ pub(crate) fn scan_partial(
         table_scans: 1,
         groups_emitted: total_groups(&accs),
         partitions: 1,
-        elapsed: start.elapsed(),
         ..ExecStats::default()
     };
     Ok((accs, stats))
@@ -600,7 +593,6 @@ mod tests {
             partitions: 1,
             merge_ns: 100,
             cache: CacheOutcome::Uncached,
-            elapsed: Duration::from_millis(5),
         };
         let b = ExecStats {
             rows_scanned: 20,
@@ -610,7 +602,6 @@ mod tests {
             partitions: 1,
             merge_ns: 50,
             cache: CacheOutcome::Miss,
-            elapsed: Duration::from_millis(7),
         };
         a.merge(&b);
         assert_eq!(a.rows_scanned, 30);
@@ -620,7 +611,6 @@ mod tests {
         assert_eq!(a.partitions, 2);
         assert_eq!(a.merge_ns, 150);
         assert_eq!(a.cache, CacheOutcome::Miss);
-        assert_eq!(a.elapsed, Duration::from_millis(12));
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use error::{DbError, DbResult};
 pub use exec::{AggFunc, AggSpec, AggState, CacheOutcome, ExactSum, ExecStats, Query, ResultSet};
 pub use expr::{CmpOp, Expr};
 pub use metrics::{ExecMetrics, StoreMetrics};
-pub use parallel::{run_batch, run_partitioned_partial, run_partitioned_partial_obs, BatchOutput};
+pub use parallel::{run_batch, run_partitioned_partial, run_partitioned_partial_obs};
 pub use plan::{LogicalPlan, PartialAggState, PhysicalPlan, PlanOutput};
 pub use sample::{sample_rows, SampleSpec};
 pub use schema::{ColumnDef, Role, Schema, Semantic};

@@ -5,8 +5,9 @@
 //! total latency decreases at the cost of increased per query execution
 //! time". [`run_batch`] reproduces exactly that trade-off with a fixed
 //! worker pool pulling plans from a shared queue: each [`LogicalPlan`] is
-//! lowered to its physical operator and executed, and outputs come back
-//! in input order regardless of completion order.
+//! lowered to its physical operator and executed against one table
+//! snapshot, and outputs come back in input order regardless of
+//! completion order.
 //!
 //! [`run_partitioned_partial`] is the complementary *intra*-plan axis:
 //! one shared-scan plan is split into contiguous row ranges, each range
@@ -21,89 +22,55 @@
 //! and against an independent naive evaluator.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 use seedb_obs::Span;
 
-use crate::catalog::Database;
 use crate::error::DbResult;
 use crate::metrics::ExecMetrics;
 use crate::plan::{LogicalPlan, PartialAggState, PhysicalPlan, PlanOutput};
 use crate::table::Table;
 
-/// Result of running a batch.
-#[derive(Debug)]
-pub struct BatchOutput {
-    /// Per-plan outcomes, in input order.
-    pub outputs: Vec<DbResult<PlanOutput>>,
-    /// Total wall-clock time for the whole batch.
-    pub total_elapsed: Duration,
-}
-
-impl BatchOutput {
-    /// Mean per-query execution time over successful queries.
-    pub fn mean_query_time(&self) -> Duration {
-        let times: Vec<Duration> = self
-            .outputs
-            .iter()
-            .filter_map(|r| r.as_ref().ok().map(|o| o.stats.elapsed))
-            .collect();
-        if times.is_empty() {
-            return Duration::ZERO;
-        }
-        times.iter().sum::<Duration>() / times.len() as u32
-    }
-}
-
-/// Execute `plans` against `db` using `workers` threads.
+/// Execute `plans` against the `table` snapshot using `workers` threads.
 ///
-/// `workers == 1` degenerates to sequential execution (the paper's
-/// baseline). Outputs preserve input order regardless of completion
-/// order; lowering and execution errors are reported per plan.
-pub fn run_batch(db: &Database, plans: &[LogicalPlan], workers: usize) -> BatchOutput {
-    let start = Instant::now();
-    let n = plans.len();
-    let workers = workers.max(1).min(n.max(1));
-    let mut outputs: Vec<Option<DbResult<PlanOutput>>> = Vec::with_capacity(n);
-    outputs.resize_with(n, || None);
-
+/// Every plan runs against `table` — the one version the caller
+/// resolved — so a batch never mixes two versions of a table that is
+/// appended to while it runs. `workers == 1` degenerates to sequential
+/// execution (the paper's baseline). Outputs preserve input order
+/// regardless of completion order; lowering and execution errors are
+/// reported per plan. No cost is recorded here: the caller records each
+/// successful output's stats (e.g. [`crate::Database::record_stats`]).
+pub fn run_batch(
+    table: &Table,
+    plans: &[LogicalPlan],
+    workers: usize,
+) -> Vec<DbResult<PlanOutput>> {
+    let run = |plan: &LogicalPlan| plan.lower()?.execute(table);
+    let workers = workers.max(1).min(plans.len().max(1));
     if workers <= 1 {
-        for (i, plan) in plans.iter().enumerate() {
-            outputs[i] = Some(db.execute_plan(plan));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, db.execute_plan(&plans[i])));
-                        }
-                        local
-                    })
+        return plans.iter().map(run).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, DbResult<PlanOutput>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(plan) = plans.get(i) else { break };
+                        local.push((i, run(plan)));
+                    }
+                    local
                 })
-                .collect();
-            for handle in handles {
-                for (i, out) in handle.join().expect("worker thread panicked") {
-                    outputs[i] = Some(out);
-                }
-            }
-        });
-    }
-
-    BatchOutput {
-        outputs: outputs
+            })
+            .collect();
+        handles
             .into_iter()
-            .map(|o| o.expect("every slot filled"))
-            .collect(),
-        total_elapsed: start.elapsed(),
-    }
+            .flat_map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Execute one already-lowered plan across `workers` row partitions,
@@ -204,6 +171,7 @@ pub fn run_partitioned_partial_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Database;
     use crate::exec::{AggFunc, AggSpec};
     use crate::schema::{ColumnDef, Schema};
     use crate::table::Table;
@@ -244,11 +212,12 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree() {
         let db = db();
+        let table = db.table("t").unwrap();
         let ps = plans(8);
-        let seq = run_batch(&db, &ps, 1);
-        let par = run_batch(&db, &ps, 4);
-        assert_eq!(seq.outputs.len(), 8);
-        for (a, b) in seq.outputs.iter().zip(par.outputs.iter()) {
+        let seq = run_batch(&table, &ps, 1);
+        let par = run_batch(&table, &ps, 4);
+        assert_eq!(seq.len(), 8);
+        for (a, b) in seq.iter().zip(par.iter()) {
             assert_eq!(a.as_ref().unwrap().results, b.as_ref().unwrap().results);
         }
     }
@@ -256,34 +225,38 @@ mod tests {
     #[test]
     fn errors_are_per_plan() {
         let db = db();
+        let table = db.table("t").unwrap();
         let mut ps = plans(2);
-        ps.push(LogicalPlan::scan("missing").aggregate(vec![], vec![AggSpec::count_star()]));
+        ps.push(
+            LogicalPlan::scan("t")
+                .aggregate(vec!["no_such_column".into()], vec![AggSpec::count_star()]),
+        );
         // A malformed plan (lowering error) is also reported in place.
         ps.push(LogicalPlan::scan("t"));
-        let out = run_batch(&db, &ps, 2);
-        assert!(out.outputs[0].is_ok());
-        assert!(out.outputs[1].is_ok());
-        assert!(out.outputs[2].is_err());
-        assert!(out.outputs[3].is_err());
+        let out = run_batch(&table, &ps, 2);
+        assert!(out[0].is_ok());
+        assert!(out[1].is_ok());
+        assert!(out[2].is_err());
+        assert!(out[3].is_err());
     }
 
     #[test]
     fn empty_batch() {
         let db = db();
-        let out = run_batch(&db, &[], 4);
-        assert!(out.outputs.is_empty());
-        assert_eq!(out.mean_query_time(), Duration::ZERO);
+        let table = db.table("t").unwrap();
+        assert!(run_batch(&table, &[], 4).is_empty());
     }
 
     #[test]
     fn grouping_sets_plans_in_batch() {
         let db = db();
+        let table = db.table("t").unwrap();
         let ps = vec![LogicalPlan::scan("t").grouping_sets(
             vec![vec!["d1".into()], vec!["d2".into()]],
             vec![AggSpec::new(AggFunc::Sum, "m")],
         )];
-        let out = run_batch(&db, &ps, 2);
-        assert_eq!(out.outputs[0].as_ref().unwrap().results.len(), 2);
+        let out = run_batch(&table, &ps, 2);
+        assert_eq!(out[0].as_ref().unwrap().results.len(), 2);
     }
 
     /// `plan` over `workers` row partitions, merged and finalized.
@@ -446,18 +419,5 @@ mod tests {
         let mut pa2 = a.execute_partial(&table, (0, 500)).unwrap();
         let pd = d.execute_partial(&table, (500, 1000)).unwrap();
         assert!(pa2.merge(pd, &table).is_err(), "different aggregate func");
-    }
-
-    #[test]
-    fn worker_count_does_not_affect_cost_counters() {
-        let db = db();
-        let ps = plans(6);
-        db.reset_cost();
-        run_batch(&db, &ps, 1);
-        let seq_cost = db.cost();
-        db.reset_cost();
-        run_batch(&db, &ps, 3);
-        let par_cost = db.cost();
-        assert_eq!(seq_cost, par_cost);
     }
 }

@@ -8,7 +8,7 @@
 //! each tree into the one [`PhysicalPlan`] shape — a filtered scan
 //! feeding one or more grouping sets; a single aggregate is the 1-set
 //! case — and [`crate::parallel::run_batch`] (or
-//! [`crate::Database::execute_plan`]) executes the result. All three
+//! [`crate::Database::run_physical`]) executes the result. All three
 //! paper optimizations — combined target/comparison (per-aggregate
 //! predicates), combined aggregates, and combined group-bys — run
 //! through the same path: [`PhysicalPlan::execute_partial`] scans a row
@@ -562,8 +562,7 @@ impl PartialAggState {
     /// ranges, but `table_scans` is reported as **1** — the partitions
     /// jointly perform one logical shared scan, and the counter's
     /// documented meaning ("shared scans are the point") must not
-    /// scale with the worker count. `elapsed` is the summed
-    /// per-partition scan time.
+    /// scale with the worker count.
     ///
     /// # Errors
     /// Column resolution errors (impossible for states produced against
@@ -771,7 +770,7 @@ mod tests {
         let db = Database::new();
         db.register(sales());
         let plan = LogicalPlan::scan("sales").aggregate(vec!["store".into()], sum_amount());
-        let out = db.execute_plan(&plan).unwrap();
+        let out = db.run_physical(&plan.lower().unwrap()).unwrap();
         assert_eq!(out.results.len(), 1);
         assert_eq!(db.cost().queries, 1);
         assert_eq!(db.cost().rows_scanned, 4);

@@ -72,7 +72,7 @@ fn main() {
     let phased = run_phased(&table, &analyst, &views, &cfg).unwrap();
     let phased_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Phased + intra-plan parallelism: every phase slice splits across
+    // Phased + intra-plan parallelism — every phase slice splits across
     // row-partition workers with mergeable partial aggregates.
     let workers = seedb::core::default_workers().max(4);
     let par_cfg = PhasedConfig {

@@ -377,8 +377,8 @@ fn reopened_catalog_answers_queries_bit_identically() {
     ];
     let reopened = Database::open(&dir).unwrap();
     for plan in &plans {
-        let a = db.execute_plan(plan).unwrap();
-        let b = reopened.execute_plan(plan).unwrap();
+        let a = db.run_physical(&plan.lower().unwrap()).unwrap();
+        let b = reopened.run_physical(&plan.lower().unwrap()).unwrap();
         assert_eq!(a.results.len(), b.results.len());
         for (ra, rb) in a.results.iter().zip(&b.results) {
             assert_eq!(ra.columns, rb.columns);

@@ -26,16 +26,21 @@ use seedb::memdb::{
 };
 
 /// Execute `views` under `cfg` through the full plan → lower → execute →
-/// extract pipeline and score them.
-fn run_views(db: &Database, analyst: &AnalystQuery, cfg: &OptimizerConfig) -> Vec<ViewResult> {
+/// extract pipeline on `workers` threads and score them.
+fn run_views(
+    db: &Database,
+    analyst: &AnalystQuery,
+    cfg: &OptimizerConfig,
+    workers: usize,
+) -> Vec<ViewResult> {
     let table = db.table(&analyst.table).unwrap();
     let views = enumerate_views(table.schema(), &FunctionSet::standard());
     let metadata = MetadataCollector::new().collect(&table, false).unwrap();
     let exec_plan = plan(&views, analyst, &metadata, cfg);
     let plans: Vec<LogicalPlan> = exec_plan.queries.iter().map(|q| q.plan.clone()).collect();
-    let batch = run_batch(db, &plans, cfg.parallelism.max(1));
+    let outputs = run_batch(&table, &plans, workers);
     let mut processor = Processor::new(views, Metric::EarthMovers);
-    for (pq, out) in exec_plan.queries.iter().zip(batch.outputs) {
+    for (pq, out) in exec_plan.queries.iter().zip(outputs) {
         processor.consume(pq, &out.expect("plan executes")).unwrap();
     }
     processor.finish()
@@ -248,7 +253,7 @@ proptest! {
         budget in prop_oneof![Just(6u64), Just(1_000_000u64)],
     ) {
         let (db, analyst) = build_db(400, dims, card, measures, seed);
-        let baseline = run_views(&db, &analyst, &OptimizerConfig::basic());
+        let baseline = run_views(&db, &analyst, &OptimizerConfig::basic(), 1);
 
         let mut combined_tc = OptimizerConfig::basic();
         combined_tc.combine_target_comparison = true;
@@ -262,16 +267,13 @@ proptest! {
         grouping_sets.group_by_combining = GroupByCombining::GroupingSets;
         grouping_sets.memory_budget_groups = budget;
 
-        let mut grouping_sets_parallel = grouping_sets.clone();
-        grouping_sets_parallel.parallelism = 3;
-
-        for (name, cfg) in [
-            ("combine target/comparison", &combined_tc),
-            ("combine aggregates", &combined_aggs),
-            ("combine group-bys (grouping sets)", &grouping_sets),
-            ("combine group-bys, parallel", &grouping_sets_parallel),
+        for (name, cfg, workers) in [
+            ("combine target/comparison", &combined_tc, 1),
+            ("combine aggregates", &combined_aggs, 1),
+            ("combine group-bys (grouping sets)", &grouping_sets, 1),
+            ("combine group-bys, parallel", &grouping_sets, 3),
         ] {
-            let optimized = run_views(&db, &analyst, cfg);
+            let optimized = run_views(&db, &analyst, cfg, workers);
             prop_assert_eq!(optimized.len(), baseline.len());
             for (a, b) in baseline.iter().zip(&optimized) {
                 if let Err(msg) = bitwise_eq(a, b) {
@@ -535,14 +537,14 @@ proptest! {
         card in 2usize..6,
     ) {
         let (db, analyst) = build_db(300, dims, card, 1, seed);
-        let baseline = run_views(&db, &analyst, &OptimizerConfig::basic());
+        let baseline = run_views(&db, &analyst, &OptimizerConfig::basic(), 1);
 
         let mut cfg = OptimizerConfig::basic();
         cfg.combine_target_comparison = true;
         cfg.combine_aggregates = true;
         cfg.group_by_combining = GroupByCombining::MultiGroupBy;
         cfg.memory_budget_groups = 1_000_000;
-        let rolled = run_views(&db, &analyst, &cfg);
+        let rolled = run_views(&db, &analyst, &cfg, 1);
 
         prop_assert_eq!(rolled.len(), baseline.len());
         for (a, b) in baseline.iter().zip(&rolled) {

@@ -114,6 +114,8 @@ fn parallelism_changes_latency_not_results() {
     // Identical DBMS work regardless of workers.
     assert_eq!(seq.cost.rows_scanned, par.cost.rows_scanned);
     assert_eq!(seq.cost.queries, par.cost.queries);
+    assert_eq!(seq.cost.table_scans, par.cost.table_scans);
+    assert_eq!(seq.cost.groups_emitted, par.cost.groups_emitted);
 }
 
 /// Intra-plan parallelism (phased-parallel): worker count must be

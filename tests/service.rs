@@ -446,40 +446,40 @@ fn concurrent_appender_and_readers_see_consistent_snapshots() {
     let appends = 4;
     let query = AnalystQuery::new("facts", Some(Expr::col("d0").eq("s0")));
 
-    // Stats-based pruning consults a metadata snapshot that may
-    // legitimately be one version older than the execution snapshot
-    // (each is consistent; the recommendation pipeline takes them
-    // sequentially). Disable pruning so a reader's result is fully
-    // determined by the execution snapshot and must equal exactly one
-    // published version.
-    let mut race_cfg = deterministic_config();
-    race_cfg.pruning = seedb::core::PruningConfig::disabled();
-
     // Cold ground truth at every version the appender will publish.
+    // Pruning stays on: a request's metadata and scan read one snapshot.
     let candidates: Vec<Recommendation> = (0..=appends)
         .map(|k| {
             let db = Arc::new(Database::new());
             db.register(fact_table(base + k * chunk));
-            SeeDb::new(db, race_cfg.clone()).recommend(&query).unwrap()
+            SeeDb::new(db, deterministic_config())
+                .recommend(&query)
+                .unwrap()
         })
         .collect();
 
     let db = db_with_facts(base);
+    let engine = SeeDb::new(db.clone(), deterministic_config());
     let service = Service::new(
         db,
         ServiceConfig::recommended()
-            .with_seedb(race_cfg)
+            .with_seedb(deterministic_config())
             .with_batch_window(Duration::from_millis(1)),
     );
     let readers = 3;
     std::thread::scope(|s| {
-        for _ in 0..readers {
+        // Service sessions, plus the plain engine as one more reader.
+        for reader in 0..=readers {
             let session = service.session();
-            let query = &query;
-            let candidates = &candidates;
+            let (engine, query, candidates) = (&engine, &query, &candidates);
             s.spawn(move || {
                 for _ in 0..6 {
-                    let rec = session.recommend(query).unwrap();
+                    let rec = if reader == readers {
+                        engine.recommend(query)
+                    } else {
+                        session.recommend(query)
+                    }
+                    .unwrap();
                     let matched = candidates.iter().any(|c| recs_identical(c, &rec));
                     assert!(
                         matched,
@@ -503,6 +503,83 @@ fn concurrent_appender_and_readers_see_consistent_snapshots() {
     // Settled state: one more read matches the final version exactly.
     let rec = service.recommend(&query).unwrap();
     assert_recs_identical(&candidates[appends], &rec);
+}
+
+/// Fact rows `[from, to)` plus a dimension `c` cycling through `cs`.
+fn facts_with_c(from: usize, to: usize, cs: &[&str]) -> Vec<Vec<Value>> {
+    let rows = fact_delta(from, to).into_iter().zip(from..);
+    rows.map(|(mut row, i)| {
+        row.push(Value::from(cs[i % cs.len()]));
+        row
+    })
+    .collect()
+}
+
+fn table_with_c(rows: &[Vec<Value>]) -> Table {
+    let mut columns = fact_table(0).schema().columns().to_vec();
+    columns.push(ColumnDef::dimension("c", DataType::Str));
+    let mut t = Table::new("facts", Schema::new(columns).unwrap());
+    for row in rows {
+        t.push_row(row.clone()).unwrap();
+    }
+    t
+}
+
+/// One snapshot per request: an append racing a recommendation must
+/// never pair one version's metadata with another version's scan.
+/// Dimension `c` is constant in every base row (zero entropy, so its
+/// views are pruned) and takes three values once the delta lands (so
+/// they are kept). A request whose pruning saw the base version but
+/// whose scan saw the appended rows matches neither cold run. Each
+/// round races one `SeeDb::recommend` and one uncached
+/// `Service::recommend` against an append staggered by 0–6 ms.
+#[test]
+fn racing_append_never_tears_metadata_from_scan() {
+    let base_rows = facts_with_c(0, 3_000, &["c0"]);
+    let delta = facts_with_c(3_000, 3_300, &["c0", "c1", "c2"]);
+    let query = AnalystQuery::new("facts", Some(Expr::col("d0").eq("s0")));
+    let versions = [
+        base_rows.clone(),
+        [base_rows.clone(), delta.clone()].concat(),
+    ]
+    .map(|rows| {
+        let db = Arc::new(Database::new());
+        db.register(table_with_c(&rows));
+        SeeDb::new(db, deterministic_config())
+            .recommend(&query)
+            .unwrap()
+    });
+    assert!(
+        versions[0].all.len() < versions[1].all.len(),
+        "the delta must un-prune dimension c"
+    );
+
+    let base = table_with_c(&base_rows);
+    let rounds = 60;
+    let mut torn = 0;
+    for round in 0..rounds {
+        let db = Arc::new(Database::new());
+        db.register(base.clone());
+        let engine = SeeDb::new(db.clone(), deterministic_config());
+        let service = Service::new(db.clone(), service_config(0).with_cache_capacity(0));
+        let results = std::thread::scope(|s| {
+            let engine = s.spawn(|| engine.recommend(&query).unwrap());
+            let served = s.spawn(|| service.recommend(&query).unwrap());
+            std::thread::sleep(Duration::from_millis(round % 7));
+            db.append_rows("facts", delta.clone()).unwrap();
+            [engine.join().unwrap(), served.join().unwrap()]
+        });
+        torn += results
+            .iter()
+            .filter(|rec| !versions.iter().any(|v| recs_identical(v, rec)))
+            .count();
+    }
+    assert_eq!(
+        torn,
+        0,
+        "{torn} of {} results matched no published version",
+        2 * rounds
+    );
 }
 
 #[test]
