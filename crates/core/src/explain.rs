@@ -25,8 +25,7 @@ use memdb::{CacheOutcome, CostSnapshot, ExecStats};
 #[derive(Debug, Clone)]
 pub struct ExplainOp {
     /// What the operator did: `cache_hit`, `projection_hit`,
-    /// `batch_scan(n)`, `scan`, `refresh`, `refresh_restamp`,
-    /// `bypass_scan`.
+    /// `batch_scan(n)`, `scan`, `refresh`, `refresh_restamp`.
     pub label: String,
     /// The operator's execution stats (zeroed scan figures for
     /// cache-served operators — that is exactly what they cost).

@@ -16,10 +16,11 @@
 //!   structurally impossible;
 //! * the delta must be small enough to be worth it
 //!   ([`RefreshConfig::max_delta_fraction`]) — a huge delta approaches
-//!   full-scan cost while paying merge overhead on top;
-//! * sampled plans never reach this decision: the serving layer
-//!   bypasses the cache for them entirely (samples do not compose
-//!   across row ranges).
+//!   full-scan cost while paying merge overhead on top.
+//!
+//! Sampled plans follow the same rule: sample membership is keyed by
+//! row id ([`memdb::SampleSpec::keeps`]), so the sample of the delta rows
+//! is exactly what a cold sampled scan at `v'` adds to the one at `v`.
 
 use memdb::Table;
 

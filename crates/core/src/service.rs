@@ -94,8 +94,6 @@ pub struct CacheStats {
     pub batch_scans: u64,
     /// Distinct plans served by those shared scans.
     pub batched_plans: u64,
-    /// Sampled plans that bypassed the cache entirely.
-    pub bypasses: u64,
     /// Cached states incrementally refreshed after appends (delta scan
     /// + merge instead of a full recompute).
     pub refreshes: u64,
@@ -135,7 +133,6 @@ struct StatCounters {
     invalidations: Counter,
     batch_scans: Counter,
     batched_plans: Counter,
-    bypasses: Counter,
     refreshes: Counter,
     refresh_rows: Counter,
     refresh_fallbacks: Counter,
@@ -152,7 +149,6 @@ impl StatCounters {
             invalidations: registry.register_counter("service.cache.invalidations"),
             batch_scans: registry.register_counter("service.cache.batch_scans"),
             batched_plans: registry.register_counter("service.cache.batched_plans"),
-            bypasses: registry.register_counter("service.cache.bypasses"),
             refreshes: registry.register_counter("service.cache.refreshes"),
             refresh_rows: registry.register_counter("service.cache.refresh_rows"),
             refresh_fallbacks: registry.register_counter("service.cache.refresh_fallbacks"),
@@ -173,7 +169,6 @@ impl StatCounters {
             invalidations: self.invalidations.get(),
             batch_scans: self.batch_scans.get(),
             batched_plans: self.batched_plans.get(),
-            bypasses: self.bypasses.get(),
             refreshes: self.refreshes.get(),
             refresh_rows: self.refresh_rows.get(),
             refresh_fallbacks: self.refresh_fallbacks.get(),
@@ -1096,9 +1091,10 @@ fn source_key(phys: &PhysicalPlan) -> String {
     // are already globally unique per registration (the cache's version
     // check alone rules cross-table reuse out).
     format!(
-        "{}|{:?}|{}",
+        "{}|{:?}|{:?}|{}",
         phys.table,
         phys.row_range,
+        phys.sample,
         phys.filter.as_ref().map(Expr::to_sql).unwrap_or_default()
     )
 }
@@ -1177,8 +1173,8 @@ impl ServiceInner {
     /// [`memdb::run_batch`] on `table`.
     ///
     /// `table` is the snapshot the engine resolved for the request's
-    /// metadata, and every plan — cache probe, refresh, batched scan or
-    /// sampled bypass — runs against exactly that version, so a request
+    /// metadata, and every plan — cache probe, refresh or batched scan,
+    /// sampled or not — runs against exactly that version, so a request
     /// is never a torn mix of two versions even if an append publishes
     /// mid-request.
     fn execute_plans(
@@ -1213,18 +1209,6 @@ impl ServiceInner {
                     continue;
                 }
             };
-            // Sampled plans are not cacheable (per-partition samples do
-            // not compose, and a cached sample would hide resampling).
-            if phys.sample.is_some() {
-                StatCounters::add(&self.stats.bypasses, 1);
-                let result = phys.execute(table);
-                if let Ok(o) = &result {
-                    self.engine.database().record_stats(&o.stats);
-                    self.record_op("bypass_scan", o.stats);
-                }
-                fill(&mut out, i, result);
-                continue;
-            }
             let fingerprint = phys.fingerprint();
             let lookup = self
                 .cache
@@ -1820,8 +1804,17 @@ mod tests {
             .sliced(0, 5)
             .lower()
             .unwrap();
+        let sampled = LogicalPlan::scan("t")
+            .aggregate(vec!["d".into()], vec![AggSpec::new(AggFunc::Sum, "m")])
+            .sampled(Some(memdb::SampleSpec::Bernoulli {
+                fraction: 0.5,
+                seed: 1,
+            }))
+            .lower()
+            .unwrap();
         assert_ne!(source_key(&plain), source_key(&filtered));
         assert_ne!(source_key(&plain), source_key(&sliced));
+        assert_ne!(source_key(&plain), source_key(&sampled));
         // Same source, different shape: mergeable.
         let other_group = LogicalPlan::scan("t")
             .aggregate(vec!["e".into()], vec![AggSpec::count_star()])

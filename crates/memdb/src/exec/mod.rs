@@ -18,7 +18,7 @@ pub use exactsum::ExactSum;
 use crate::error::{DbError, DbResult};
 use crate::expr::Expr;
 use crate::plan::PhysicalPlan;
-use crate::sample::{sample_rows, SampleSpec};
+use crate::sample::SampleSpec;
 use crate::table::Table;
 use crate::value::Value;
 
@@ -366,10 +366,12 @@ fn scan_domain(
     // same scan).
     let base: Vec<u32> = match sample {
         None => (lo as u32..hi as u32).collect(),
-        Some(s) => sample_rows(hi - lo, s)
-            .into_iter()
-            .map(|r| r + lo as u32)
-            .collect(),
+        Some(s) => {
+            let keeps = s.membership();
+            (lo as u32..hi as u32)
+                .filter(|&r| keeps(u64::from(r)))
+                .collect()
+        }
     };
     let scanned = base.len() as u64;
     let rows = match filter {

@@ -16,7 +16,8 @@
 //!   **grouping sets sharing one scan** ([`exec`]) — the two primitives
 //!   behind SeeDB's combined target/comparison and combined group-by
 //!   rewrites;
-//! * Bernoulli and reservoir sampling ([`sample`]);
+//! * row-keyed Bernoulli sampling that composes across row ranges
+//!   ([`sample`]);
 //! * a typed logical/physical plan layer the optimizer targets: every
 //!   plan is one filtered scan feeding one or more grouping sets, and
 //!   executes as partial scan → merge → finalize ([`plan`]);
@@ -86,7 +87,7 @@ pub use expr::{CmpOp, Expr};
 pub use metrics::{ExecMetrics, StoreMetrics};
 pub use parallel::{run_batch, run_partitioned_partial, run_partitioned_partial_obs};
 pub use plan::{LogicalPlan, PartialAggState, PhysicalPlan, PlanOutput};
-pub use sample::{sample_rows, SampleSpec};
+pub use sample::SampleSpec;
 pub use schema::{ColumnDef, Role, Schema, Semantic};
 pub use segment::{ColumnSegment, SegmentData, Validity};
 pub use sql::{parse_query, parse_selection, Selection};

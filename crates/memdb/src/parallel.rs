@@ -80,10 +80,7 @@ pub fn run_batch(
 /// accumulators directly instead of re-parsing finalized rows.
 ///
 /// # Errors
-/// Unknown columns, type errors, or a sampled plan split across more
-/// than one partition (sampling does not compose across partitions —
-/// run it with `workers = 1`, which is what [`PhysicalPlan::execute`]
-/// does).
+/// Same as [`PhysicalPlan::execute_partial`].
 pub fn run_partitioned_partial(
     table: &Table,
     plan: &PhysicalPlan,

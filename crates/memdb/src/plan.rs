@@ -371,25 +371,22 @@ impl PhysicalPlan {
     /// partition shape.
     ///
     /// # Errors
-    /// Unknown columns, type errors, or — `InvalidQuery` — a sampled
-    /// plan over less than its whole scan range: the sampled row domain
-    /// depends on the scanned range, so per-partition samples do not
-    /// compose.
+    /// Unknown columns, type errors, or — `InvalidQuery` — a NaN sample
+    /// fraction.
     pub fn execute_partial(
         &self,
         table: &Table,
         range: (usize, usize),
     ) -> DbResult<PartialAggState> {
+        if self
+            .sample
+            .is_some_and(|SampleSpec::Bernoulli { fraction, .. }| fraction.is_nan())
+        {
+            return Err(DbError::InvalidQuery("sample fraction is NaN".to_string()));
+        }
         let (plan_lo, plan_hi) = self.scan_range(table);
         let lo = range.0.max(plan_lo);
         let eff = (lo, range.1.min(plan_hi).max(lo));
-        if self.sample.is_some() && eff != (plan_lo, plan_hi) {
-            return Err(DbError::InvalidQuery(
-                "sampled plans cannot be split into row partitions: the sampled row domain \
-                 depends on the scanned range, so per-partition samples do not compose"
-                    .to_string(),
-            ));
-        }
         let (accs, stats) = exec::scan_partial(table, self, eff)?;
         Ok(PartialAggState {
             accs,
@@ -478,7 +475,7 @@ impl PartialAggState {
     ///
     /// This is the serving layer's batch-split primitive: several plans
     /// sharing one scan source (same table, scan-level predicate, row
-    /// range, unsampled) are merged into one grouping-sets superplan,
+    /// range and sample) are merged into one grouping-sets superplan,
     /// executed once, and the combined state is projected back per plan.
     /// Group discovery is aggregate-independent and every per-(set,
     /// group, aggregate) state is accumulated independently during the

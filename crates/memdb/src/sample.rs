@@ -1,11 +1,11 @@
 //! Row sampling for approximate query execution.
 //!
-//! SeeDB's sampling optimization (§3.3) runs all view queries against an
-//! in-memory sample of the dataset, trading accuracy for latency. Both
-//! techniques here are seeded so experiments are reproducible.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! SeeDB's sampling optimization (§3.3) runs all view queries against a
+//! sample of the dataset, trading accuracy for latency. Membership is a
+//! pure function of the row id and the seed, so the sample of a row range
+//! is the union of the samples of its sub-ranges: sampled plans split
+//! into row partitions, cache, and refresh from appended rows exactly
+//! like unsampled ones, and every run with the same seed is reproducible.
 
 /// How to sample the scan domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -13,195 +13,83 @@ pub enum SampleSpec {
     /// Keep each row independently with probability `fraction`.
     /// Sample size is binomial around `fraction * n`.
     Bernoulli {
-        /// Keep probability in `[0, 1]`.
+        /// Keep probability; `>= 1` keeps every row, `<= 0` none. NaN is
+        /// rejected at execution time.
         fraction: f64,
-        /// RNG seed (deterministic sampling).
-        seed: u64,
-    },
-    /// Uniform fixed-size sample without replacement (Vitter's
-    /// Algorithm R). Output is sorted by row id to preserve scan locality.
-    Reservoir {
-        /// Number of rows to keep (capped at the table size).
-        size: usize,
-        /// RNG seed.
+        /// Hash seed (deterministic sampling).
         seed: u64,
     },
 }
 
 impl SampleSpec {
-    /// Expected number of sampled rows out of `n`.
-    pub fn expected_size(&self, n: usize) -> usize {
-        match self {
-            SampleSpec::Bernoulli { fraction, .. } => {
-                (n as f64 * fraction.clamp(0.0, 1.0)).round() as usize
-            }
-            SampleSpec::Reservoir { size, .. } => (*size).min(n),
-        }
+    /// Whether row `row` is in the sample:
+    /// `mix64(mix64(seed) ^ row) < ⌊fraction · 2^64⌋`.
+    ///
+    /// The seed is mixed on its own first so that different seeds give
+    /// independent samples rather than relabelings of one another.
+    pub fn keeps(&self, row: u64) -> bool {
+        self.membership()(row)
+    }
+
+    /// [`SampleSpec::keeps`] with the per-spec work (seed mix, threshold)
+    /// done once, for the scan's per-row loop: the compiler does not hoist
+    /// it out of that loop, which doubled the per-row sampling cost.
+    pub(crate) fn membership(&self) -> impl Fn(u64) -> bool {
+        let SampleSpec::Bernoulli { fraction, seed } = *self;
+        // `as` saturates: NaN and fractions <= 0 give 0 (keep nothing),
+        // fractions >= 1 give u64::MAX.
+        let (key, cut) = (mix64(seed), (fraction * 2f64.powi(64)) as u64);
+        let all = fraction >= 1.0;
+        move |row| all || mix64(key ^ row) < cut
     }
 }
 
-/// Sample row ids from `0..n_rows` according to `spec`.
-pub fn sample_rows(n_rows: usize, spec: &SampleSpec) -> Vec<u32> {
-    match *spec {
-        SampleSpec::Bernoulli { fraction, seed } => {
-            let p = fraction.clamp(0.0, 1.0);
-            if p >= 1.0 {
-                return (0..n_rows as u32).collect();
-            }
-            if p <= 0.0 {
-                return Vec::new();
-            }
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..n_rows as u32)
-                .filter(|_| rng.gen::<f64>() < p)
-                .collect()
-        }
-        SampleSpec::Reservoir { size, seed } => {
-            let k = size.min(n_rows);
-            if k == 0 {
-                return Vec::new();
-            }
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut reservoir: Vec<u32> = (0..k as u32).collect();
-            for i in k..n_rows {
-                let j = rng.gen_range(0..=i);
-                if j < k {
-                    reservoir[j] = i as u32;
-                }
-            }
-            reservoir.sort_unstable();
-            reservoir
-        }
-    }
+/// SplitMix64's finalizer: a bijective 64-bit mix with full avalanche.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn sample(n: u64, fraction: f64, seed: u64) -> Vec<u64> {
+        let spec = SampleSpec::Bernoulli { fraction, seed };
+        (0..n).filter(|&r| spec.keeps(r)).collect()
+    }
+
     #[test]
     fn bernoulli_edge_fractions() {
-        assert_eq!(
-            sample_rows(
-                10,
-                &SampleSpec::Bernoulli {
-                    fraction: 1.0,
-                    seed: 1
-                }
-            )
-            .len(),
-            10
-        );
-        assert_eq!(
-            sample_rows(
-                10,
-                &SampleSpec::Bernoulli {
-                    fraction: 0.0,
-                    seed: 1
-                }
-            )
-            .len(),
-            0
-        );
+        assert_eq!(sample(10, 1.0, 1).len(), 10);
+        assert_eq!(sample(10, 0.0, 1).len(), 0);
         // Out-of-range fractions are clamped rather than panicking.
-        assert_eq!(
-            sample_rows(
-                10,
-                &SampleSpec::Bernoulli {
-                    fraction: 2.0,
-                    seed: 1
-                }
-            )
-            .len(),
-            10
-        );
+        assert_eq!(sample(10, 2.0, 1).len(), 10);
+        assert_eq!(sample(10, -1.0, 1).len(), 0);
     }
 
     #[test]
     fn bernoulli_is_deterministic_per_seed() {
-        let a = sample_rows(
-            1000,
-            &SampleSpec::Bernoulli {
-                fraction: 0.3,
-                seed: 42,
-            },
-        );
-        let b = sample_rows(
-            1000,
-            &SampleSpec::Bernoulli {
-                fraction: 0.3,
-                seed: 42,
-            },
-        );
-        let c = sample_rows(
-            1000,
-            &SampleSpec::Bernoulli {
-                fraction: 0.3,
-                seed: 43,
-            },
-        );
+        let a = sample(1000, 0.3, 42);
+        let b = sample(1000, 0.3, 42);
+        let c = sample(1000, 0.3, 43);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
     fn bernoulli_size_near_expectation() {
-        let s = sample_rows(
-            100_000,
-            &SampleSpec::Bernoulli {
-                fraction: 0.1,
-                seed: 7,
-            },
-        );
-        let n = s.len() as f64;
+        let n = sample(100_000, 0.1, 7).len() as f64;
         assert!((9_000.0..11_000.0).contains(&n), "got {n}");
     }
 
+    /// Without the seed pre-mix, `seed ^ row` over a power-of-two row
+    /// range only permutes that range, so every seed would draw the same
+    /// number of rows.
     #[test]
-    fn reservoir_exact_size_and_sorted() {
-        let s = sample_rows(10_000, &SampleSpec::Reservoir { size: 100, seed: 5 });
-        assert_eq!(s.len(), 100);
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
-        assert!(s.iter().all(|&r| r < 10_000));
-    }
-
-    #[test]
-    fn reservoir_larger_than_table_keeps_everything() {
-        let s = sample_rows(10, &SampleSpec::Reservoir { size: 100, seed: 5 });
-        assert_eq!(s, (0..10).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn reservoir_zero_size() {
-        assert!(sample_rows(10, &SampleSpec::Reservoir { size: 0, seed: 5 }).is_empty());
-    }
-
-    #[test]
-    fn reservoir_is_roughly_uniform() {
-        // Sample 1 element from 0..10 many times; each value should appear.
-        let mut seen = [0u32; 10];
-        for seed in 0..2000 {
-            let s = sample_rows(10, &SampleSpec::Reservoir { size: 1, seed });
-            seen[s[0] as usize] += 1;
-        }
-        for (v, &count) in seen.iter().enumerate() {
-            assert!(count > 100, "value {v} drawn only {count} times");
-        }
-    }
-
-    #[test]
-    fn expected_size_helper() {
-        assert_eq!(
-            SampleSpec::Bernoulli {
-                fraction: 0.25,
-                seed: 0
-            }
-            .expected_size(1000),
-            250
-        );
-        assert_eq!(
-            SampleSpec::Reservoir { size: 50, seed: 0 }.expected_size(20),
-            20
-        );
+    fn seeds_draw_independent_samples() {
+        let sizes: Vec<usize> = (0..16).map(|seed| sample(4096, 0.5, seed).len()).collect();
+        assert!(sizes.iter().any(|&s| s != sizes[0]), "sizes {sizes:?}");
     }
 }

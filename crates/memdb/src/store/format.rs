@@ -222,11 +222,6 @@ impl Enc {
                 self.f64(*fraction);
                 self.u64(*seed);
             }
-            Some(SampleSpec::Reservoir { size, seed }) => {
-                self.u8(2);
-                self.u64(*size as u64);
-                self.u64(*seed);
-            }
         }
     }
 
@@ -462,10 +457,6 @@ impl<'a> Dec<'a> {
             0 => None,
             1 => Some(SampleSpec::Bernoulli {
                 fraction: self.f64()?,
-                seed: self.u64()?,
-            }),
-            2 => Some(SampleSpec::Reservoir {
-                size: self.u64()? as usize,
                 seed: self.u64()?,
             }),
             t => return Err(corrupt(format!("{}: bad sample tag {t}", self.what))),

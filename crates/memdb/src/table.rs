@@ -269,8 +269,8 @@ impl Table {
     }
 
     /// Build a new table containing only the rows in `selection`
-    /// (used by reservoir sampling and tests; analytical paths work on
-    /// selections without materializing).
+    /// (for tests; analytical paths work on selections without
+    /// materializing).
     pub fn materialize_selection(&self, name: &str, selection: &[u32]) -> DbResult<Table> {
         let mut t = Table::with_capacity(name, self.schema.clone(), selection.len());
         for &i in selection {

@@ -191,6 +191,9 @@ fn run_and_print(frontend: &Frontend, query: &AnalystQuery) -> Option<seedb::viz
     match frontend.issue(query) {
         Ok(out) => {
             println!("{}", out.render_text());
+            for (i, e) in &out.recommendation.errors {
+                eprintln!("error: query {i}: {e}");
+            }
             let early = if out.recommendation.early_pruned.is_empty() {
                 String::new()
             } else {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use seedb::core::{AnalystQuery, SeeDbConfig, Service, ServiceConfig};
 use seedb::data::{Plant, SyntheticSpec};
 use seedb::memdb::{
-    store, AggFunc, AggSpec, Database, DbError, DurabilityConfig, LogicalPlan, Value,
+    store, AggFunc, AggSpec, Database, DbError, DurabilityConfig, LogicalPlan, SampleSpec, Value,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -99,6 +99,40 @@ fn reopened_service_serves_byte_identical_recommendations() {
     let stats = reopened.cache_stats();
     assert!(stats.refreshes >= 1, "refresh path exercised");
     assert_eq!(stats.refresh_fallbacks, 0, "no full recomputes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sampled service's cached plans spill and warm-start like any
+/// other: the first post-restart request is an exact hit.
+#[test]
+fn sampled_plans_round_trip_through_persist_and_open() {
+    let dir = tmp("sampled-roundtrip");
+    let (db, analyst) = seeded_db(3_000, 19);
+    let mut cfg = pipeline();
+    cfg.optimizer.sample = Some(SampleSpec::Bernoulli {
+        fraction: 0.3,
+        seed: 11,
+    });
+    let config = || ServiceConfig::recommended().with_seedb(cfg.clone());
+    let live = Service::new(db, config());
+    let truth = live.recommend(&analyst).expect("warm-up");
+    live.persist(&dir).expect("persist");
+
+    let reopened = Service::open(&dir, config()).expect("open");
+    let cost_before = reopened.database().cost();
+    let rec = reopened.recommend(&analyst).expect("post-restart serve");
+    assert_eq!(
+        reopened.database().cost().since(&cost_before).table_scans,
+        0,
+        "first post-restart request must be warm"
+    );
+    let stats = reopened.cache_stats();
+    assert!(stats.hits > 0 && stats.misses == 0, "{stats:?}");
+    assert_eq!(truth.all.len(), rec.all.len());
+    for (a, b) in truth.all.iter().zip(&rec.all) {
+        assert_eq!(a.spec, b.spec);
+        assert_eq!(a.utility.to_bits(), b.utility.to_bits(), "{}", a.spec);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -261,29 +295,46 @@ fn corruption_is_always_a_typed_error() {
 
     // Warm-plan spill: typed Corrupt at the store layer, but the spill
     // holds only cache hints — Service::open degrades to a cold start
-    // instead of failing.
+    // instead of failing. Two corruptions: a flipped byte, and a
+    // well-framed plan whose sample carries the unassigned tag 2 (it
+    // held a reservoir sample, which no longer exists).
     let dir = tmp("corrupt-plans");
     let (db, analyst) = seeded_db(500, 43);
     let service = Service::new(db, service_config());
     let truth = service.recommend(&analyst).unwrap();
     service.persist(&dir).unwrap();
     let path = dir.join(store::WARM_PLANS_FILE);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x01;
-    std::fs::write(&path, &bytes).unwrap();
-    assert!(matches!(store::read_plans(&path), Err(DbError::Corrupt(_))));
-    let reopened = Service::open(&dir, service_config()).expect("best-effort warm start");
-    let cost_before = reopened.database().cost();
-    let rec = reopened.recommend(&analyst).expect("cold serve");
-    assert!(
-        reopened.database().cost().since(&cost_before).table_scans > 0,
-        "cold start: the corrupted spill warmed nothing"
-    );
-    assert_eq!(truth.all.len(), rec.all.len());
-    for (a, b) in truth.all.iter().zip(&rec.all) {
-        assert_eq!(a.spec, b.spec);
-        assert_eq!(a.utility.to_bits(), b.utility.to_bits());
+    let mut flipped = std::fs::read(&path).unwrap();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 0x01;
+    let mut retired = store::format::Enc::new();
+    retired.u64(1); // one plan: one-set, table, no filter, sample tag 2
+    retired.u8(0);
+    retired.str("synthetic");
+    retired.opt_expr(&None);
+    retired.u8(2);
+    retired.u64(100);
+    retired.u64(7);
+    store::format::write_section_file(&path, &retired.into_bytes()).unwrap();
+    let retired = std::fs::read(&path).unwrap();
+    for (bytes, expected) in [(flipped, ""), (retired, "bad sample tag 2")] {
+        std::fs::write(&path, &bytes).unwrap();
+        match store::read_plans(&path) {
+            Err(DbError::Corrupt(msg)) => assert!(msg.contains(expected), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let reopened = Service::open(&dir, service_config()).expect("best-effort warm start");
+        let cost_before = reopened.database().cost();
+        let rec = reopened.recommend(&analyst).expect("cold serve");
+        assert!(
+            reopened.database().cost().since(&cost_before).table_scans > 0,
+            "cold start: the corrupted spill warmed nothing"
+        );
+        assert_eq!(truth.all.len(), rec.all.len());
+        for (a, b) in truth.all.iter().zip(&rec.all) {
+            assert_eq!(a.spec, b.spec);
+            assert_eq!(a.utility.to_bits(), b.utility.to_bits());
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -560,37 +560,133 @@ proptest! {
     }
 }
 
-/// A sampled plan runs through the one scan path as a single partition
-/// over its whole range; splitting it is refused, because per-partition
-/// samples do not compose.
-#[test]
-fn sampled_plans_execute_whole_and_refuse_to_split() {
-    let (db, analyst) = build_db(500, 3, 5, 1, 42);
-    let table = db.table(&analyst.table).unwrap();
-    let plan = LogicalPlan::scan(&analyst.table)
-        .aggregate(vec!["d1".into()], vec![AggSpec::new(AggFunc::Sum, "m0")])
-        .sliced(50, 450)
-        .sampled(Some(SampleSpec::Bernoulli {
-            fraction: 0.5,
-            seed: 7,
-        }))
-        .lower()
-        .unwrap();
-    let direct = plan.execute(&table).unwrap();
-    assert!(direct.stats.rows_scanned > 0 && direct.stats.rows_scanned < 400);
-    let whole = run_partitioned_partial(&table, &plan, 1)
-        .unwrap()
-        .finalize(&table)
-        .unwrap();
-    outputs_bitwise_eq(&direct, &whole).unwrap();
-    assert_eq!(direct.stats.rows_scanned, whole.stats.rows_scanned);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
+    /// Sample membership is keyed by row id, so a sampled plan is just a
+    /// plan over a smaller row domain: row partitions of any shape
+    /// (`w` in 2..8) and an incremental prefix + delta split all merge to
+    /// the bit-exact single-partition output with the same scan cost,
+    /// and the output matches the naive evaluator over the kept rows.
+    #[test]
+    fn sampled_plans_split_like_any_other(
+        seed in 0u64..10_000,
+        sample_seed in any::<u64>(),
+        fraction in 0.05f64..0.95,
+        k in 0usize..500,
+        data in reference::data_strategy(),
+        func in proptest::sample::select(AggFunc::all().to_vec()),
+    ) {
+        let spec = SampleSpec::Bernoulli { fraction, seed: sample_seed };
+        let (db, analyst) = build_db(500, 3, 5, 1, seed);
+        let table = db.table(&analyst.table).unwrap();
+        let filter = analyst.filter.clone().expect("planted filter");
+        let aggregate = LogicalPlan::scan(&analyst.table).aggregate(
+            vec!["d1".into()],
+            vec![
+                AggSpec::new(AggFunc::Sum, "m0")
+                    .with_filter(filter)
+                    .with_alias("target"),
+                AggSpec::new(AggFunc::Avg, "m0"),
+                AggSpec::count_star(),
+            ],
+        );
+        let grouping_sets = LogicalPlan::scan(&analyst.table)
+            .filter(Expr::col("d0").eq("v0"))
+            .grouping_sets(
+                vec![vec!["d1".into()], vec!["d2".into()], vec![]],
+                vec![AggSpec::new(AggFunc::Min, "m0"), AggSpec::new(AggFunc::Max, "m0")],
+            );
+        let sliced = aggregate.clone().sliced(50, 450);
+
+        for (name, plan, (lo, hi)) in [
+            ("aggregate", &aggregate, (0, 500)),
+            ("grouping-sets", &grouping_sets, (0, 500)),
+            ("sliced", &sliced, (50, 450)),
+        ] {
+            let phys = plan.clone().sampled(Some(spec)).lower().unwrap();
+            let direct = phys.execute(&table).unwrap();
+            let kept = (lo..hi).filter(|&r| spec.keeps(r as u64)).count() as u64;
+            prop_assert_eq!(direct.stats.rows_scanned, kept, "[{}]", name);
+
+            for w in 2..8 {
+                let split = run_partitioned_partial(&table, &phys, w)
+                    .unwrap()
+                    .finalize(&table)
+                    .unwrap();
+                if let Err(msg) = outputs_bitwise_eq(&direct, &split) {
+                    return Err(TestCaseError::fail(format!("[{name}, {w} workers] {msg}")));
+                }
+                prop_assert_eq!(split.stats.rows_scanned, kept, "[{}, {} workers]", name, w);
+            }
+
+            let mut prefix = phys.execute_partial(&table, (0, k)).unwrap();
+            let delta = phys.execute_partial(&table, (k, table.num_rows())).unwrap();
+            prefix.merge(delta, &table).unwrap();
+            let incremental = prefix.finalize(&table).unwrap();
+            if let Err(msg) = outputs_bitwise_eq(&direct, &incremental) {
+                return Err(TestCaseError::fail(format!("[{name}, prefix {k} + delta] {msg}")));
+            }
+        }
+
+        // The independent oracle, evaluated over the rows the sample keeps.
+        let ref_table = reference::build_table(&data);
+        let kept_rows = reference::TestData {
+            rows: data
+                .rows
+                .iter()
+                .enumerate()
+                .filter(|&(r, _)| spec.keeps(r as u64))
+                .map(|(_, row)| *row)
+                .collect(),
+        };
+        let agg_spec = match func {
+            AggFunc::Count => AggSpec::count_star(),
+            f => AggSpec::new(f, "m"),
+        };
+        let plan = LogicalPlan::scan("t")
+            .filter(Expr::col("d3").lt(2))
+            .aggregate(
+                vec!["d1".into()],
+                vec![agg_spec.with_filter(Expr::col("d2").eq("x"))],
+            )
+            .sampled(Some(spec))
+            .lower()
+            .unwrap();
+        let out = run_partitioned_partial(&ref_table, &plan, 3)
+            .unwrap()
+            .finalize(&ref_table)
+            .unwrap();
+        reference::approx_eq(
+            &reference::result_to_map(&out.results[0], 1),
+            &reference::reference_aggregate(&kept_rows, &[0], func, Some("x"), Some(2)),
+        )
+        .map_err(TestCaseError::fail)?;
+    }
+}
+
+/// A NaN fraction would silently sample nothing; it is refused on every
+/// range. Finite out-of-range fractions clamp instead.
+#[test]
+fn nan_sample_fraction_is_invalid_query() {
+    let (db, analyst) = build_db(100, 2, 3, 1, 1);
+    let table = db.table(&analyst.table).unwrap();
+    let sampled = |fraction: f64| {
+        LogicalPlan::scan(&analyst.table)
+            .aggregate(vec!["d1".into()], vec![AggSpec::count_star()])
+            .sampled(Some(SampleSpec::Bernoulli { fraction, seed: 1 }))
+            .lower()
+            .unwrap()
+    };
+    let nan = sampled(f64::NAN);
+    assert!(matches!(nan.execute(&table), Err(DbError::InvalidQuery(_))));
     assert!(matches!(
-        run_partitioned_partial(&table, &plan, 4),
+        nan.execute_partial(&table, (0, 0)),
         Err(DbError::InvalidQuery(_))
     ));
-    assert!(matches!(
-        plan.execute_partial(&table, (50, 250)),
-        Err(DbError::InvalidQuery(_))
-    ));
+    assert_eq!(
+        sampled(2.0).execute(&table).unwrap().stats.rows_scanned,
+        100
+    );
+    assert_eq!(sampled(-1.0).execute(&table).unwrap().stats.rows_scanned, 0);
 }

@@ -63,8 +63,8 @@ fn sampling_preserves_the_planted_ranking() {
 fn reservoir_sampling_also_works() {
     let (db, analyst, truth) = planted_db(60_000, 6);
     let mut cfg = SeeDbConfig::recommended().with_k(5);
-    cfg.optimizer.sample = Some(SampleSpec::Reservoir {
-        size: 8_000,
+    cfg.optimizer.sample = Some(SampleSpec::Bernoulli {
+        fraction: 8_000.0 / 60_000.0,
         seed: 23,
     });
     let rec = SeeDb::new(db, cfg).recommend(&analyst).unwrap();

@@ -724,22 +724,79 @@ fn covered_plans_are_served_by_projection_without_scans() {
     assert_recs_identical(&cold, &rec);
 }
 
-#[test]
-fn sampled_plans_bypass_the_cache() {
-    let db = db_with_facts(400);
-    let mut cfg = service_config(0);
-    cfg.seedb.optimizer.sample = Some(SampleSpec::Bernoulli {
+fn sampled(mut cfg: SeeDbConfig) -> SeeDbConfig {
+    cfg.optimizer.sample = Some(SampleSpec::Bernoulli {
         fraction: 0.5,
         seed: 9,
     });
-    let service = Service::new(db, cfg);
+    cfg
+}
+
+/// Sampled plans take the ordinary serving path: a repeat request is an
+/// exact cache hit with zero scans, byte-identical to the cold one.
+#[test]
+fn sampled_plans_are_cached() {
+    let db = db_with_facts(400);
+    let service = Service::new(
+        db.clone(),
+        service_config(0).with_seedb(sampled(deterministic_config())),
+    );
     let query = AnalystQuery::new("facts", Some(Expr::col("d0").eq("s0")));
-    service.recommend(&query).unwrap();
-    service.recommend(&query).unwrap();
+    let cold = service.recommend(&query).unwrap();
+    let cold_stats = service.cache_stats();
+    assert!(
+        cold_stats.misses > 0 && cold_stats.inserts > 0,
+        "{cold_stats:?}"
+    );
+
+    let before = db.cost();
+    let warm = service.recommend(&query).unwrap();
+    assert_eq!(
+        db.cost().since(&before).table_scans,
+        0,
+        "warm run must not scan"
+    );
     let stats = service.cache_stats();
-    assert!(stats.bypasses > 0, "{stats:?}");
-    assert_eq!(stats.hits, 0, "sampled plans must not be cached: {stats:?}");
-    assert_eq!(stats.inserts, 0);
+    assert!(stats.hits >= cold_stats.misses, "{stats:?}");
+    assert_eq!(stats.misses, cold_stats.misses, "no new misses");
+    assert_recs_identical(&cold, &warm);
+}
+
+/// Live ingest over a sampled cache: the lazy refresh scans only the
+/// sampled delta rows and lands on the bit-exact cold sampled answer.
+#[test]
+fn sampled_lazy_refresh_scans_only_the_sampled_delta() {
+    let rows = 2000;
+    let appended = 200;
+    let db = db_with_facts(rows);
+    let service = Service::new(
+        db.clone(),
+        service_config(0).with_seedb(sampled(deterministic_config())),
+    );
+    let query = AnalystQuery::new("facts", Some(Expr::col("d0").eq("s0")));
+
+    service.recommend(&query).unwrap();
+    service
+        .append_rows("facts", fact_delta(rows, rows + appended))
+        .unwrap();
+
+    let before = db.cost();
+    let refreshed = service.recommend(&query).unwrap();
+    let delta_cost = db.cost().since(&before);
+    let stats = service.cache_stats();
+    assert!(stats.refreshes >= 1, "{stats:?}");
+    assert_eq!(stats.refresh_fallbacks, 0, "{stats:?}");
+    assert!(
+        delta_cost.rows_scanned > 0 && delta_cost.rows_scanned < appended as u64,
+        "refresh must scan the sampled delta rows only: {delta_cost:?}"
+    );
+
+    let cold_db = Arc::new(Database::new());
+    cold_db.register(fact_table(rows + appended));
+    let cold = SeeDb::new(cold_db, sampled(deterministic_config()))
+        .recommend(&query)
+        .unwrap();
+    assert_recs_identical(&cold, &refreshed);
 }
 
 #[test]
